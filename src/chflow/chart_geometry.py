@@ -25,9 +25,12 @@ __all__ = [
     "bergman_metric_at",
     "metric_derivative_at",
     "christoffel_at",
+    "christoffels_from_partials",
     "kahler_form_at",
     "riemann_coordinate_at",
     "ricci_fd_at",
+    "CurvatureComponentReport",
+    "curvature_component_check",
     "curvature_crosscheck",
     "distance",
     "mobius_involution",
@@ -126,13 +129,19 @@ def metric_derivative_at(m: int, c: float, x: np.ndarray) -> np.ndarray:
 def christoffel_at(m: int, c: float, x: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma[..., l, a, i] = Gamma^l_{ai}(x)."""
     g = bergman_metric_at(m, c, x)
-    dg = metric_derivative_at(m, c, x)
-    ginv = np.linalg.inv(g)
-    # Gamma^l_{ai} = (1/2) g^{lp} (d_a g_{pi} + d_i g_{pa} - d_p g_{ai})
+    return christoffels_from_partials(np.linalg.inv(g), metric_derivative_at(m, c, x))
+
+
+def christoffels_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^l_{ai} = (1/2) g^{lp} (d_a g_{pi} + d_i g_{pa} - d_p g_{ai}).
+
+    ginv has shape (..., n, n) and dg[..., a, i, j] = d_a g_{ij}; returns
+    Gamma[..., l, a, i] for any metric, analytic or finite-difference.
+    """
     bracket = (
         np.einsum("...api->...pai", dg)
         + np.einsum("...ipa->...pai", dg)
-        - np.einsum("...pai->...pai", dg)
+        - dg
     )
     return 0.5 * np.einsum("...lp,...pai->...lai", ginv, bracket)
 
@@ -163,36 +172,39 @@ def riemann_coordinate_at(m: int, c: float, x: np.ndarray) -> np.ndarray:
     return -(c / 4.0) * s
 
 
-def _christoffel_partials(m: int, c: float, x: np.ndarray, step: float) -> np.ndarray:
-    # dGamma[a, l, p, i] = d_a Gamma^l_{pi}, central differences
+def _fd_riemann(m: int, c: float, x: np.ndarray, step: float) -> np.ndarray:
+    # R_{ipqj} = g_{jl} (d_i Gamma^l_{pq} - d_p Gamma^l_{iq}
+    #            + Gamma^l_{ik} Gamma^k_{pq} - Gamma^l_{pk} Gamma^k_{iq})
+    # with dgam[a, l, p, i] = d_a Gamma^l_{pi} by central differences of the
+    # analytic Christoffels
     x = np.asarray(x, dtype=float)
     n = 2 * m
-    out = np.empty((n, n, n, n))
+    dgam = np.empty((n, n, n, n))
     for a in range(n):
         xp, xm = x.copy(), x.copy()
         xp[a] += step
         xm[a] -= step
-        out[a] = (christoffel_at(m, c, xp) - christoffel_at(m, c, xm)) / (2 * step)
-    return out
+        dgam[a] = (christoffel_at(m, c, xp) - christoffel_at(m, c, xm)) / (2 * step)
+    g = bergman_metric_at(m, c, x)
+    gam = christoffel_at(m, c, x)
+    rupper = (
+        np.einsum("ilpq->ipql", dgam)
+        - np.einsum("pliq->ipql", dgam)
+        + np.einsum("lik,kpq->ipql", gam, gam)
+        - np.einsum("lpk,kiq->ipql", gam, gam)
+    )
+    return np.einsum("ipql,jl->ipqj", rupper, g)
 
 
 def ricci_fd_at(m: int, c: float, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
     """Ricci tensor at a point from finite differences of Christoffels.
 
-    Rc_{ij} = d_k Gamma^k_{ij} - d_i Gamma^k_{kj}
-              + Gamma^k_{kp} Gamma^p_{ij} - Gamma^k_{ip} Gamma^p_{kj}.
-    Second-order accurate in step; used as an independent check of the
-    algebraic curvature.
+    Rc_{ij} = g^{kl} R_{kijl}, the contraction of the finite-difference
+    curvature tensor.  Second-order accurate in step; used as an
+    independent check of the algebraic curvature.
     """
-    gam = christoffel_at(m, c, x)
-    dgam = _christoffel_partials(m, c, x, step)
-    rc = (
-        np.einsum("kkij->ij", dgam)
-        - np.einsum("ikkj->ij", dgam)
-        + np.einsum("kkp,pij->ij", gam, gam)
-        - np.einsum("kip,pkj->ij", gam, gam)
-    )
-    return rc
+    ginv = np.linalg.inv(bergman_metric_at(m, c, x))
+    return np.einsum("kl,kijl->ij", ginv, _fd_riemann(m, c, x, step))
 
 
 CURVATURE_COMPONENT_CLASSES: tuple[tuple[str, tuple[int, int, int, int], float], ...] = (
@@ -237,20 +249,11 @@ def curvature_component_check(
     if len(spacings) < 2:
         raise ValueError("need at least two spacings for an order fit")
     x = np.zeros(2 * m)
-    g = bergman_metric_at(m, c, x)
-    gam = christoffel_at(m, c, x)
     labels = tuple(lbl for lbl, _, _ in CURVATURE_COMPONENT_CLASSES)
     exact = tuple(c * u for _, _, u in CURVATURE_COMPONENT_CLASSES)
     numeric, errors = [], []
     for s in spacings:
-        dgam = _christoffel_partials(m, c, x, s)
-        rupper = (
-            np.einsum("ilpq->ipql", dgam)
-            - np.einsum("pliq->ipql", dgam)
-            + np.einsum("lik,kpq->ipql", gam, gam)
-            - np.einsum("lpk,kiq->ipql", gam, gam)
-        )
-        rm_fd = np.einsum("ipql,jl->ipqj", rupper, g) * (c / 4.0) ** 2
+        rm_fd = _fd_riemann(m, c, x, s) * (c / 4.0) ** 2
         row = tuple(float(rm_fd[idx]) for _, idx, _ in CURVATURE_COMPONENT_CLASSES)
         numeric.append(row)
         errors.append(tuple(abs(n - e) for n, e in zip(row, exact)))
@@ -274,21 +277,11 @@ def curvature_component_check(
 def curvature_crosscheck(m: int, c: float, x: np.ndarray, step: float = 1e-3) -> float:
     """Relative gap between finite-difference and algebraic curvature at x.
 
-    Builds R_{ipqj} = g_{jl} (d_i Gamma^l_{pq} - d_p Gamma^l_{iq}
-    + Gamma^l_{ik} Gamma^k_{pq} - Gamma^l_{pk} Gamma^k_{iq}) by differencing
-    the analytic Christoffels and compares with `riemann_coordinate_at`.
-    Returns max abs difference / max abs component.
+    Builds R_{ipqj} by differencing the analytic Christoffels and compares
+    with `riemann_coordinate_at`.  Returns max abs difference / max abs
+    component.
     """
-    g = bergman_metric_at(m, c, x)
-    gam = christoffel_at(m, c, x)
-    dgam = _christoffel_partials(m, c, x, step)
-    rupper = (
-        np.einsum("ilpq->ipql", dgam)
-        - np.einsum("pliq->ipql", dgam)
-        + np.einsum("lik,kpq->ipql", gam, gam)
-        - np.einsum("lpk,kiq->ipql", gam, gam)
-    )
-    rm_fd = np.einsum("ipql,jl->ipqj", rupper, g)
+    rm_fd = _fd_riemann(m, c, x, step)
     rm = riemann_coordinate_at(m, c, x)
     return float(np.max(np.abs(rm_fd - rm)) / np.max(np.abs(rm)))
 
@@ -412,8 +405,8 @@ class ChartGrid:
     """Uniform coordinate grid with cached geometry of the background metric.
 
     The grid covers [-box_half, box_half]^{2m} with the given spacing, which
-    must divide box_half.  Cached fields (built lazily on first access,
-    slab by slab along axis 0 to bound peak memory):
+    must divide box_half.  Cached fields (built lazily on first access;
+    Gamma is built slab by slab along axis 0 to bound its peak memory):
 
         points    (..., 2m)       coordinates
         G, Ginv   (..., 2m, 2m)   metric and inverse

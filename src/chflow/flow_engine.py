@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart_geometry import ChartGrid
-from .frame_algebra import einstein_constants
+from . import stability_analysis as sa
 from . import tensor_calculus as tc
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "vector_transport",
     "deturck_term",
     "deturck_rhs",
+    "FixedPointReport",
     "fixed_point_residual",
     "ellipticity_pencil_range",
     "principal_apply",
@@ -44,51 +45,18 @@ __all__ = [
 ]
 
 
-def _sym(arr: np.ndarray) -> np.ndarray:
-    return 0.5 * (arr + np.swapaxes(arr, -1, -2))
-
-
 def _inv_sym(g: np.ndarray) -> np.ndarray:
-    return _sym(np.linalg.inv(g))
-
-
-def _lam(grid: ChartGrid) -> float:
-    return float(einstein_constants(grid.m, 1)[0]) * grid.c
+    return tc._symmetrized(np.linalg.inv(g))
 
 
 def ricci_of(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
     """Ricci tensor of an arbitrary grid metric, by finite differences."""
-    ginv = _inv_sym(g)
-    return _sym(tc.ricci_of_metric(g, ginv, grid.spacing))
+    return tc.ricci_of_metric(g, *tc.metric_jet(g, grid.spacing), grid.spacing)
 
 
 def normalized_ricci_rhs(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
     """-2 (Rc(g) + lam g) with the background normalization constant."""
-    return -2.0 * (ricci_of(grid, g) + _lam(grid) * g)
-
-
-def _cov2(arr: np.ndarray, gamma: np.ndarray, spacing: float) -> np.ndarray:
-    # nabla of a (0,2)-tensor with supplied Christoffels
-    n = arr.shape[-1]
-    base = arr.ndim - 2
-    sel = (slice(None),) * base
-    out = np.empty(arr.shape[:base] + (n, n, n))
-    for a in range(n):
-        out[sel + (a,)] = np.gradient(arr, spacing, axis=a)
-    out -= np.einsum("...lai,...lj->...aij", gamma, arr)
-    out -= np.einsum("...laj,...il->...aij", gamma, arr)
-    return out
-
-
-def _cov1(arr: np.ndarray, gamma: np.ndarray, spacing: float) -> np.ndarray:
-    n = arr.shape[-1]
-    base = arr.ndim - 1
-    sel = (slice(None),) * base
-    out = np.empty(arr.shape[:base] + (n, n))
-    for a in range(n):
-        out[sel + (a,)] = np.gradient(arr, spacing, axis=a)
-    out -= np.einsum("...lai,...l->...ai", gamma, arr)
-    return out
+    return -2.0 * (ricci_of(grid, g) + tc._lam(grid) * g)
 
 
 def vector_transport(grid: ChartGrid, g: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -103,33 +71,29 @@ def vector_transport(grid: ChartGrid, g: np.ndarray, beta: np.ndarray) -> np.nda
 def deturck_term(
     grid: ChartGrid,
     g: np.ndarray,
-    ginv: np.ndarray | None = None,
-    gamma: np.ndarray | None = None,
+    jet: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Gauge term P(g) of the deturck right-hand side (see module docs).
 
+    jet is `tc.metric_jet(g, grid.spacing)`, built here when not supplied.
     Vanishes at g = g_B because G(g_B, g_B) is a constant multiple of the
     background metric, which is parallel.
     """
-    if ginv is None:
-        ginv = _inv_sym(g)
-    if gamma is None:
-        gamma = tc.christoffels_of_metric(g, ginv, grid.spacing)
+    ginv, _, gamma = tc.metric_jet(g, grid.spacing) if jet is None else jet
     tr = np.einsum("...ij,...ij->...", ginv, grid.G)
     gt = grid.G - 0.5 * tr[..., None, None] * g
-    nab = _cov2(gt, gamma, grid.spacing)
+    nab = tc._covariant(gt, gamma, grid.spacing)
     beta = -np.einsum("...ai,...aij->...j", ginv, nab)  # delta_g G(g, g_B)
     beta = vector_transport(grid, g, beta)
-    dstar = _sym(_cov1(beta, gamma, grid.spacing))
+    dstar = tc._symmetrized(tc._covariant(beta, gamma, grid.spacing))
     return -2.0 * dstar
 
 
 def deturck_rhs(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
     """Gauged flow right-hand side -2 (Rc + lam g) - P(g)."""
-    ginv = _inv_sym(g)
-    gamma = tc.christoffels_of_metric(g, ginv, grid.spacing)
-    rc = _sym(tc.ricci_of_metric(g, ginv, grid.spacing))
-    return -2.0 * (rc + _lam(grid) * g) - deturck_term(grid, g, ginv, gamma)
+    jet = tc.metric_jet(g, grid.spacing)
+    rc = tc.ricci_of_metric(g, *jet, grid.spacing)
+    return -2.0 * (rc + tc._lam(grid) * g) - deturck_term(grid, g, jet)
 
 
 @dataclass(frozen=True)
@@ -159,11 +123,12 @@ def fixed_point_residual(
     the largest ball within 2 cells of the boundary, where the compact
     stencils are clean).
     """
-    lam = _lam(grid)
-    rc = ricci_of(grid, grid.G)
+    lam = tc._lam(grid)
+    jet = tc.metric_jet(grid.G, grid.spacing)
+    rc = tc.ricci_of_metric(grid.G, *jet, grid.spacing)
     parts = 2.0 * np.abs(rc) + 2.0 * lam * np.abs(grid.G)
     if mode == "deturck":
-        p = deturck_term(grid, grid.G)
+        p = deturck_term(grid, grid.G, jet)
         resid = -2.0 * (rc + lam * grid.G) - p
         parts = parts + np.abs(p)
     elif mode == "ricci":
@@ -198,31 +163,20 @@ def ellipticity_pencil_range(grid: ChartGrid, g: np.ndarray) -> tuple[float, flo
 def principal_apply(grid: ChartGrid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Frozen-coefficient principal part g^{pq} d_p d_q h_{ij}.
 
-    Second centered differences weighted by the inverse of the supplied
-    metric; this is the leading part of every operator in this package and
-    is what the parabolic step limit is computed from.
+    Compact second differences weighted by the inverse of the supplied
+    metric; this is the leading part of every operator in this package.
+    The outermost cell layer wraps around and is meaningless; callers mask
+    it with their Dirichlet band.
     """
     ginv = _inv_sym(g)
     n = g.shape[-1]
     out = np.zeros_like(h)
-    base = len(grid.shape)
-    sel = (slice(None),) * base
-    sp2 = grid.spacing**2
+    sel = (slice(None),) * len(grid.shape)
     for p in range(n):
-        upp = np.roll(h, -1, axis=p)
-        low = np.roll(h, 1, axis=p)
-        d2 = (upp - 2.0 * h + low) / sp2
-        # second differences wrap at the boundary via roll; the outermost
-        # cells are meaningless and masked by the caller's Dirichlet band
-        out += ginv[sel + (p, p) + (None, None)] * d2
-        for q in range(p + 1, n):
-            cross = (
-                np.roll(upp, -1, axis=q)
-                - np.roll(upp, 1, axis=q)
-                - np.roll(low, -1, axis=q)
-                + np.roll(low, 1, axis=q)
-            ) / (4.0 * sp2)
-            out += 2.0 * ginv[sel + (p, q) + (None, None)] * cross
+        for q in range(p, n):
+            weight = 1.0 if p == q else 2.0
+            d2 = tc._second_diff(h, p, q, grid.spacing)
+            out += weight * ginv[sel + (p, q) + (None, None)] * d2
     return out
 
 
@@ -298,7 +252,7 @@ def evolve(
 
     def dev_norms(gcur: np.ndarray) -> tuple[float, float]:
         dev = gcur - grid.G
-        l2 = math.sqrt(tc.l2_norm_sq(tc.TensorField(grid, _sym(dev), 0)))
+        l2 = math.sqrt(tc.l2_norm_sq(tc.TensorField(grid, tc._symmetrized(dev), 0)))
         wsup = float(np.max(weight * np.max(np.abs(dev), axis=(-2, -1))))
         return l2, wsup
 
@@ -340,14 +294,7 @@ def evolve(
         rate, window = math.nan, (0, 0)
     else:
         trace = l2_dev if fit_norm == "l2" else sup_dev
-        n0 = trace[0]
-        lo, hi = fit_window
-        sel = np.nonzero((trace <= hi * n0) & (trace >= lo * n0))[0]
-        if sel.size < 3:
-            raise RuntimeError("not enough trace points in the fit window")
-        i0, i1 = int(sel[0]), int(sel[-1])
-        slope = np.polyfit(times[i0 : i1 + 1], np.log(trace[i0 : i1 + 1]), 1)[0]
-        rate, window = float(-slope), (i0, i1)
+        rate, window = sa._fit_decay_rate(times, trace, fit_window)
     return FlowTrace(
         times=times,
         l2_dev=l2_dev,

@@ -36,6 +36,7 @@ __all__ = [
     "assemble_R_gamma_bruteforce",
     "block_R_gamma",
     "spectrum_R_gamma",
+    "spectrum_by_block",
     "verify_model_eigenvectors",
     "ModelEigenvectorReport",
     "einstein_constants",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart_geometry import ChartGrid
-from .frame_algebra import einstein_constants, stability_bound_coefficient
+from .frame_algebra import stability_bound_coefficient
 from . import tensor_calculus as tc
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "ConvergenceReport",
     "bochner_convergence",
     "DecayTrace",
+    "stable_timestep",
     "linearized_flow",
     "linearization_consistency",
 ]
@@ -126,7 +127,7 @@ def energy_report(h: tc.TensorField) -> EnergyReport:
     grid = h.grid
     if h.support_margin < 2:
         raise ValueError("energy_report needs a field with support_margin >= 2")
-    lam = float(einstein_constants(grid.m, 1)[0]) * grid.c
+    lam = tc._lam(grid)
     norm_sq = tc.l2_norm_sq(h)
     grad_sq = tc.l2_norm_sq(tc.covariant_derivative(h))
     half_t_sq = 0.5 * tc.l2_norm_sq(tc.three_tensor_T(h))

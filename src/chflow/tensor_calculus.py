@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_geometry import ChartGrid, j_matrix
+from .chart_geometry import ChartGrid, christoffels_from_partials, j_matrix
 from .frame_algebra import einstein_constants
 
 __all__ = [
@@ -45,9 +45,8 @@ __all__ = [
     "three_tensor_T",
     "l2_inner",
     "l2_norm_sq",
-    "sup_norm",
-    "christoffels_of_metric",
-    "ricci_from_christoffels",
+    "metric_jet",
+    "ricci_of_metric",
     "background_fd_ricci",
 ]
 
@@ -92,33 +91,49 @@ def _symmetrized(arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + np.swapaxes(arr, -1, -2))
 
 
+def _lam(grid: ChartGrid) -> float:
+    # Einstein constant of the background: Rc = -lam g
+    return float(einstein_constants(grid.m, 1)[0]) * grid.c
+
+
+def _partials(arr: np.ndarray, base: int, spacing: float) -> np.ndarray:
+    # central differences along the `base` leading grid axes, new index
+    # first: out[..., a, I] = d_a arr[..., I]
+    out = np.empty(arr.shape[:base] + (base,) + arr.shape[base:])
+    sel = (slice(None),) * base
+    for a in range(base):
+        out[sel + (a,)] = np.gradient(arr, spacing, axis=a)
+    return out
+
+
+def _covariant(arr: np.ndarray, gamma: np.ndarray, spacing: float) -> np.ndarray:
+    # nabla of a covariant tensor of rank <= 2 with supplied Christoffels
+    # gamma[..., l, a, i]; derivative index first, not symmetrized
+    rank = arr.ndim - (gamma.ndim - 3)
+    if rank > 2:
+        raise NotImplementedError("covariant derivative only up to rank 2")
+    out = _partials(arr, gamma.ndim - 3, spacing)
+    if rank == 1:
+        out -= np.einsum("...lai,...l->...ai", gamma, arr)
+    elif rank == 2:
+        out -= np.einsum("...lai,...lj->...aij", gamma, arr)
+        out -= np.einsum("...laj,...il->...aij", gamma, arr)
+    return out
+
+
 def partial_derivative(field: TensorField) -> TensorField:
     """Coordinate partials, new index first: out[..., a, I] = d_a comp[..., I]."""
     grid = field.grid
-    n = 2 * grid.m
-    base = len(grid.shape)
-    out = np.empty(grid.shape + (n,) + field.comp.shape[base:])
-    sel = (slice(None),) * base
-    for a in range(n):
-        out[sel + (a,)] = np.gradient(field.comp, grid.spacing, axis=a)
+    out = _partials(field.comp, len(grid.shape), grid.spacing)
     return TensorField(grid, out, max(field.support_margin - 1, 0))
 
 
 def covariant_derivative(field: TensorField) -> TensorField:
     """Covariant derivative with respect to the background metric."""
     grid = field.grid
-    out = partial_derivative(field).comp
-    gam = grid.Gamma
-    if field.rank == 0:
-        pass
-    elif field.rank == 1:
-        out -= np.einsum("...lai,...l->...ai", gam, field.comp)
-    elif field.rank == 2:
-        out -= np.einsum("...lai,...lj->...aij", gam, field.comp)
-        out -= np.einsum("...laj,...il->...aij", gam, field.comp)
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    else:
-        raise NotImplementedError("covariant derivative only up to rank 2")
+    out = _covariant(field.comp, grid.Gamma, grid.spacing)
+    if field.rank == 2:
+        out = _symmetrized(out)
     return TensorField(grid, out, max(field.support_margin - 1, 0))
 
 
@@ -219,10 +234,9 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
     agree to O(spacing^2); keeping both routes guards the implementation.
     """
     grid = field.grid
-    lam = float(einstein_constants(grid.m, 1)[0]) * grid.c
     out = rough_laplacian(field).comp + 2.0 * curvature_action(field).comp
     if ricci_mode == "exact":
-        out += 2.0 * lam * field.comp
+        out += 2.0 * _lam(grid) * field.comp
     elif ricci_mode == "fd":
         rc = background_fd_ricci(grid)
         rh = np.einsum("...iq,...qp->...ip", rc, grid.Ginv)
@@ -297,55 +311,20 @@ def l2_norm_sq(a: TensorField) -> float:
     return l2_inner(a, a)
 
 
-def sup_norm(a: TensorField) -> float:
-    return float(np.max(np.abs(a.comp)))
-
-
 # ---------------------------------------------------------------------------
 # raw-array helpers shared with the nonlinear flow
 
-def christoffels_of_metric(g: np.ndarray, ginv: np.ndarray, spacing: float) -> np.ndarray:
-    """Christoffel symbols of an arbitrary grid metric, by central differences.
+def metric_jet(g: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g^{-1}, dg, Gamma) of an arbitrary grid metric, by central differences.
 
-    g, ginv have shape grid.shape + (n, n); returns (..., l, a, i) matching
-    the layout of the analytic background cache.
+    g has shape grid.shape + (n, n); dg[..., a, i, j] = d_a g_{ij} and
+    Gamma[..., l, a, i] = Gamma^l_{ai} match the layout of the analytic
+    background cache.  The inverse is symmetrized.  Built once per
+    right-hand side and read by `ricci_of_metric` and the gauge term.
     """
-    n = g.shape[-1]
-    base = g.ndim - 2
-    dg = np.empty(g.shape[:base] + (n, n, n))
-    sel = (slice(None),) * base
-    for a in range(n):
-        dg[sel + (a,)] = np.gradient(g, spacing, axis=a)
-    bracket = (
-        np.einsum("...api->...pai", dg)
-        + np.einsum("...ipa->...pai", dg)
-        - dg
-    )
-    return 0.5 * np.einsum("...lp,...pai->...lai", ginv, bracket)
-
-
-def ricci_from_christoffels(gamma: np.ndarray, spacing: float) -> np.ndarray:
-    """Ricci tensor from a Christoffel field Gamma[..., l, a, i].
-
-    Rc_{ij} = d_k Gamma^k_{ij} - d_i Gamma^k_{kj}
-              + Gamma^k_{kp} Gamma^p_{ij} - Gamma^k_{ip} Gamma^p_{kj}.
-    Valid for any metric whose Christoffels are supplied; second-order
-    accurate away from the grid boundary.
-    """
-    n = gamma.shape[-1]
-    base = gamma.ndim - 3
-    sel = (slice(None),) * base
-    acc = np.zeros(gamma.shape[:base] + (n, n))
-    for k in range(n):
-        acc += np.gradient(gamma[sel + (k,)], spacing, axis=k)
-    s = np.einsum("...kkj->...j", gamma)  # Gamma^k_{kj}
-    ds = np.empty_like(acc)
-    for i in range(n):
-        ds[sel + (i,)] = np.gradient(s, spacing, axis=i)
-    acc -= ds
-    acc += np.einsum("...p,...pij->...ij", s, gamma)
-    acc -= np.einsum("...kip,...pkj->...ij", gamma, gamma)
-    return acc
+    ginv = _symmetrized(np.linalg.inv(g))
+    dg = _partials(g, g.ndim - 2, spacing)
+    return ginv, dg, christoffels_from_partials(ginv, dg)
 
 
 def _second_diff(arr: np.ndarray, p: int, q: int, spacing: float) -> np.ndarray:
@@ -362,39 +341,34 @@ def _second_diff(arr: np.ndarray, p: int, q: int, spacing: float) -> np.ndarray:
     ) / (4.0 * spacing**2)
 
 
-def ricci_of_metric(g: np.ndarray, ginv: np.ndarray, spacing: float) -> np.ndarray:
+def ricci_of_metric(
+    g: np.ndarray, ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, spacing: float
+) -> np.ndarray:
     """Ricci tensor of an arbitrary grid metric, by compact differences.
 
-    Algebraically identical to `ricci_from_christoffels` on the Christoffels
-    of g, but the second derivatives of g enter through compact centered
-    stencils instead of nested first differences, which shrinks the
-    truncation constant by about a factor four.  The expansion used is
+    ginv, dg, gamma are the `metric_jet` of g; the result is symmetrized.
+    The second derivatives of g enter through compact centered stencils
+    instead of nested first differences of the Christoffels, which shrinks
+    the truncation constant by about a factor four.  The expansion used is
 
         Rc_ij = (1/2) g^{lk} (d_l d_i g_kj + d_l d_j g_ki
                               - d_l d_k g_ij - d_i d_j g_kl)
-                + (1/2) (d_l g^{lk}) B_kij - (1/2) (d_i g^{lk}) (d_j g_kl)
+                + (d_l g^{lk}) g_kp Gamma^p_ij - (1/2) (d_i g^{lk}) (d_j g_kl)
                 + Gamma^l_{lp} Gamma^p_{ij} - Gamma^l_{ip} Gamma^p_{lj}
 
-    with B_kij = d_i g_kj + d_j g_ki - d_k g_ij.  The outermost cell layer
-    is wrap-contaminated; keep a band of at least two cells.
+    where g_kp Gamma^p_ij = (1/2) (d_i g_kj + d_j g_ki - d_k g_ij).  The
+    outermost cell layer is wrap-contaminated; keep a band of at least two
+    cells.
     """
     n = g.shape[-1]
     base = g.ndim - 2
     sel = (slice(None),) * base
-    dg = np.empty(g.shape[:base] + (n, n, n))
-    for a in range(n):
-        dg[sel + (a,)] = np.gradient(g, spacing, axis=a)
-    bracket = (
-        np.einsum("...api->...pai", dg)
-        + np.einsum("...ipa->...pai", dg)
-        - dg
-    )
-    gamma = 0.5 * np.einsum("...lp,...pai->...lai", ginv, bracket)
     dginv = -np.einsum("...la,...iab,...bk->...ilk", ginv, dg, ginv)
 
     # first-derivative terms
     div_ginv = np.einsum("...llk->...k", dginv)  # d_l g^{lk}
-    acc = 0.5 * np.einsum("...k,...kij->...ij", div_ginv, bracket)
+    lowered = np.einsum("...k,...kp->...p", div_ginv, g)  # (d_l g^{lk}) g_kp
+    acc = np.einsum("...p,...pij->...ij", lowered, gamma)
     acc -= 0.5 * np.einsum("...ilk,...jkl->...ij", dginv, dg)
     # quadratic Christoffel terms
     s = np.einsum("...llp->...p", gamma)
@@ -418,11 +392,12 @@ def ricci_of_metric(g: np.ndarray, ginv: np.ndarray, spacing: float) -> np.ndarr
             if p != q:
                 hess_tr[sel + (q, p)] = tr
     acc += 0.5 * (mixed + np.swapaxes(mixed, -1, -2) - lap - hess_tr)
-    return acc
+    return _symmetrized(acc)
 
 
 def background_fd_ricci(grid: ChartGrid) -> np.ndarray:
     """Finite-difference Ricci tensor of the background metric (cached)."""
     if "fd_ricci" not in grid._cache:
-        grid._cache["fd_ricci"] = ricci_of_metric(grid.G, grid.Ginv, grid.spacing)
+        jet = metric_jet(grid.G, grid.spacing)
+        grid._cache["fd_ricci"] = ricci_of_metric(grid.G, *jet, grid.spacing)
     return grid._cache["fd_ricci"]

@@ -147,6 +147,35 @@ class TestFixedPointResidual:
             fe.fixed_point_residual(grid_m1, mode="gauged")
 
 
+class TestSharedJet:
+    """The entry points that share one metric jet agree with the standalone
+    pieces, each of which builds its own."""
+
+    @pytest.fixture(scope="class")
+    def grid_m2(self):
+        return ChartGrid(m=2, c=4.0, box_half=0.3, spacing=0.06)
+
+    def test_deturck_rhs_matches_pieces(self, grid_m2):
+        lam = float(einstein_constants(2, 1)[0]) * grid_m2.c
+        g = grid_m2.G + sa.random_bump_tensor(grid_m2, seed=5).comp
+        pieces = -2.0 * (fe.ricci_of(grid_m2, g) + lam * g) - fe.deturck_term(grid_m2, g)
+        mask = grid_m2.interior_mask(2)
+        gap = np.max(np.abs((fe.deturck_rhs(grid_m2, g) - pieces)[mask]))
+        assert gap <= 1e-12 * np.max(np.abs(pieces[mask]))
+
+    def test_fixed_point_residual_matches_pieces(self, grid_m2):
+        lam = float(einstein_constants(2, 1)[0]) * grid_m2.c
+        gb = grid_m2.G
+        rc = fe.ricci_of(grid_m2, gb)
+        p = fe.deturck_term(grid_m2, gb)
+        resid = -2.0 * (rc + lam * gb) - p
+        parts = 2.0 * np.abs(rc) + 2.0 * lam * np.abs(gb) + np.abs(p)
+        rep = fe.fixed_point_residual(grid_m2)
+        mask = grid_m2.geodesic_ball_mask(rep.radius)
+        assert rep.raw == pytest.approx(np.max(np.abs(resid[mask])), rel=1e-12)
+        assert rep.term_scale == pytest.approx(np.max(parts[mask]), rel=1e-12)
+
+
 class TestEllipticityPencil:
     def test_identity_at_background(self, grid_m1):
         lo, hi = fe.ellipticity_pencil_range(grid_m1, grid_m1.G)
