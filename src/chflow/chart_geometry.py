@@ -138,12 +138,15 @@ def christoffels_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     ginv has shape (..., n, n) and dg[..., a, i, j] = d_a g_{ij}; returns
     Gamma[..., l, a, i] for any metric, analytic or finite-difference.
     """
+    n = dg.shape[-1]
     bracket = (
         np.einsum("...api->...pai", dg)
         + np.einsum("...ipa->...pai", dg)
         - dg
     )
-    return 0.5 * np.einsum("...lp,...pai->...lai", ginv, bracket)
+    bracket *= 0.5
+    flat = bracket.reshape(bracket.shape[:-3] + (n, n * n))
+    return (ginv @ flat).reshape(bracket.shape)
 
 
 def kahler_form_at(m: int, c: float, x: np.ndarray) -> np.ndarray:

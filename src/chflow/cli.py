@@ -52,6 +52,7 @@ from . import holder_interpolation as hi
 from . import stability_analysis as sa
 from . import tensor_calculus as tc
 from .chart_geometry import ChartGrid
+from .stability_analysis import perturbed_metric
 
 ENV_PREFIX = "CHFLOW_"
 
@@ -445,23 +446,6 @@ def _bump_field(grid: ChartGrid, scale: float) -> tc.TensorField:
     return tc.TensorField(grid, prof[..., None, None] * eye, 0)
 
 
-def perturbed_metric(grid: ChartGrid, amp: float, seed: int,
-                     tau: float = 1.0) -> np.ndarray:
-    """Background plus a seeded bump of weighted-sup size exactly amp.
-
-    The bump profile is fixed (three bumps, widths 0.24 to 0.26, support
-    radius 0.28) and rescaled so that sup e^{tau r} |h| = amp, matching the
-    weighted deviation recorded by the flow trace at t = 0.
-    """
-    h = sa.random_bump_tensor(
-        grid, seed, n_bumps=3, width_range=(0.24, 0.26), amplitude=1.0,
-        support_radius=0.28,
-    )
-    w = np.exp(tau * grid.r_geo)
-    sup = float(np.max(w[..., None, None] * np.abs(h.comp)))
-    return grid.G + (amp / sup) * h.comp
-
-
 # ---------------------------------------------------------------------------
 # runners; each returns (parameter echo, produced files)
 
@@ -596,6 +580,9 @@ def _run_stability_linear_flow(v: dict, outdir: Path):
 
 
 def _run_flow(v: dict, outdir: Path):
+    cfl_max = fe._cfl_bound(v["m"])
+    if not v["cfl"] < cfl_max:
+        raise CliError("cfl", f"must be below {cfl_max} for m = {v['m']}")
     grid = ChartGrid(m=v["m"], c=float(v["c"]), box_half=v["box_half"],
                      spacing=v["spacing"])
     g0 = perturbed_metric(grid, v["amp"], v["seed"], v["tau"])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def vector_transport(grid: ChartGrid, g: np.ndarray, beta: np.ndarray) -> np.nda
     Raises the index with the background inverse and lowers it with the
     evolving metric; linear in beta, and the identity at g = g_B.
     """
-    return np.einsum("...jk,...kl,...l->...j", g, grid.Ginv, beta)
+    return (g @ (grid.Ginv @ beta[..., None]))[..., 0]
 
 
 def deturck_term(
@@ -83,7 +84,10 @@ def deturck_term(
     tr = np.einsum("...ij,...ij->...", ginv, grid.G)
     gt = grid.G - 0.5 * tr[..., None, None] * g
     nab = tc._covariant(gt, gamma, grid.spacing)
-    beta = -np.einsum("...ai,...aij->...j", ginv, nab)  # delta_g G(g, g_B)
+    n = g.shape[-1]
+    # delta_g G(g, g_B): g^{ai} (nabla_a gt)_{ij} as one (1, n^2) @ (n^2, n)
+    rows = ginv.reshape(g.shape[:-2] + (1, n * n))
+    beta = -(rows @ nab.reshape(g.shape[:-2] + (n * n, n)))[..., 0, :]
     beta = vector_transport(grid, g, beta)
     dstar = tc._symmetrized(tc._covariant(beta, gamma, grid.spacing))
     return -2.0 * dstar
@@ -198,6 +202,12 @@ class FlowTrace:
         return float(self.l2_dev[0])
 
 
+def _cfl_bound(m: int) -> Fraction:
+    # n/(4n-4), n = 2m: the explicit step is unstable at or above it (see evolve)
+    n = 2 * m
+    return Fraction(n, 4 * n - 4)
+
+
 def _pin_band(g: np.ndarray, grid: ChartGrid, band: int) -> None:
     if band > 0:
         outside = ~grid.interior_mask(band)
@@ -222,9 +232,11 @@ def evolve(
     step from the current metric.  The index coupling in the Ricci symbol
     makes the stiffest (Nyquist, conformal-direction) mode a factor
     (2n-2)/n larger than the scalar estimate sup tr(g^{-1}) suggests, so
-    cfl must stay below n/(4n-4); the default 0.2 keeps a margin for every
-    n.  The trace records the deviation from the background in L^2 and in
-    the exponentially weighted sup norm sup e^{tau r} |g - g_B| (the grid
+    cfl must stay below n/(4n-4), or ValueError is raised; the default 0.2
+    keeps a margin for every n.  Every step is checked for non-finite
+    values (RuntimeError).  The trace records the deviation from the
+    background in L^2 and in the exponentially weighted sup norm
+    sup e^{tau r} |g - g_B| (the grid
     restriction of the weighted norms in holder_interpolation).  The decay
     rate is fitted, in the norm named by fit_norm ("l2" or "sup"), on the
     window where that deviation lies between the given fractions of its
@@ -243,6 +255,9 @@ def evolve(
         raise ValueError(f"unknown mode {mode!r}") from None
     if fit_norm not in ("l2", "sup"):
         raise ValueError(f"unknown fit_norm {fit_norm!r}")
+    cfl_max = _cfl_bound(grid.m)
+    if not cfl < cfl_max:
+        raise ValueError(f"cfl must be below {cfl_max} for m = {grid.m}")
     g = g0.copy()
     _pin_band(g, grid, band)
     t = 0.0
@@ -260,6 +275,11 @@ def evolve(
         ev = np.linalg.eigvalsh(gcur.reshape(-1, gcur.shape[-1], gcur.shape[-1]))
         return float(np.min(ev))
 
+    def check_finite(gcur: np.ndarray) -> None:
+        if not np.isfinite(gcur).all():
+            raise RuntimeError(f"flow produced non-finite values at t = {t:.4f}")
+
+    check_finite(g)
     l2, sup = dev_norms(g)
     l2_dev.append(l2)
     sup_dev.append(sup)
@@ -275,6 +295,7 @@ def evolve(
         g = g + dt * k2
         _pin_band(g, grid, band)
         t += dt
+        check_finite(g)
         step += 1
         if step == 1:
             dt_first = dt

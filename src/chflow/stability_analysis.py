@@ -31,6 +31,7 @@ from . import tensor_calculus as tc
 
 __all__ = [
     "random_bump_tensor",
+    "perturbed_metric",
     "EnergyReport",
     "energy_report",
     "ConvergenceReport",
@@ -85,6 +86,24 @@ def random_bump_tensor(
     # exact-integer cell count just below its value
     margin = int(math.floor((grid.box_half - support_radius) / grid.spacing + 1e-9))
     return tc.sym_tensor(grid, comp, margin=max(margin, 0))
+
+
+def perturbed_metric(
+    grid: ChartGrid, amp: float, seed: int, tau: float = 1.0
+) -> np.ndarray:
+    """Background plus a seeded bump of weighted-sup size exactly amp.
+
+    The bump profile is fixed (three bumps, widths 0.24 to 0.26, support
+    radius 0.28) and rescaled so that sup e^{tau r} |h| = amp, matching the
+    weighted deviation recorded by the flow trace at t = 0.
+    """
+    h = random_bump_tensor(
+        grid, seed, n_bumps=3, width_range=(0.24, 0.26), amplitude=1.0,
+        support_radius=0.28,
+    )
+    w = np.exp(tau * grid.r_geo)
+    sup = float(np.max(w[..., None, None] * np.abs(h.comp)))
+    return grid.G + (amp / sup) * h.comp
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,23 @@ def _partials(arr: np.ndarray, base: int, spacing: float) -> np.ndarray:
 
 def _covariant(arr: np.ndarray, gamma: np.ndarray, spacing: float) -> np.ndarray:
     # nabla of a covariant tensor of rank <= 2 with supplied Christoffels
-    # gamma[..., l, a, i]; derivative index first, not symmetrized
-    rank = arr.ndim - (gamma.ndim - 3)
+    # gamma[..., l, a, i]; derivative index first, not symmetrized.  The
+    # connection terms sum_l Gamma^l_{ai} arr_{l...} are products with
+    # Gamma read as an (n, n^2) matrix per point
+    base = gamma.ndim - 3
+    rank = arr.ndim - base
     if rank > 2:
         raise NotImplementedError("covariant derivative only up to rank 2")
-    out = _partials(arr, gamma.ndim - 3, spacing)
+    out = _partials(arr, base, spacing)
+    n = gamma.shape[-1]
+    flat = gamma.reshape(gamma.shape[:-3] + (n, n * n))
     if rank == 1:
-        out -= np.einsum("...lai,...l->...ai", gamma, arr)
+        out -= (arr[..., None, :] @ flat).reshape(out.shape)
     elif rank == 2:
-        out -= np.einsum("...lai,...lj->...aij", gamma, arr)
-        out -= np.einsum("...laj,...il->...aij", gamma, arr)
+        gt = np.swapaxes(flat, -1, -2)
+        out -= (gt @ arr).reshape(out.shape)  # Gamma^l_{ai} arr_{lj}
+        # Gamma^l_{aj} arr_{il}: the same product on arr^T, read transposed
+        out -= np.swapaxes((gt @ np.swapaxes(arr, -1, -2)).reshape(out.shape), -1, -2)
     return out
 
 
@@ -357,23 +364,31 @@ def ricci_of_metric(
                 + Gamma^l_{lp} Gamma^p_{ij} - Gamma^l_{ip} Gamma^p_{lj}
 
     where g_kp Gamma^p_ij = (1/2) (d_i g_kj + d_j g_ki - d_k g_ij).  The
+    derivative of the inverse enters only through X_i = g^{-1} d_i g, since
+    d_i g^{-1} = -X_i g^{-1}: so (d_l g^{lk}) g_kp = -(X_l)^l_p is a diagonal
+    of X and -(1/2) (d_i g^{lk}) (d_j g_kl) = (1/2) tr(X_i X_j).  The
+    contractions are batched matmuls over the trailing component axes.  The
     outermost cell layer is wrap-contaminated; keep a band of at least two
     cells.
     """
     n = g.shape[-1]
     base = g.ndim - 2
     sel = (slice(None),) * base
-    dginv = -np.einsum("...la,...iab,...bk->...ilk", ginv, dg, ginv)
+    x = ginv[sel + (None,)] @ dg  # X[..., i] = g^{-1} d_i g
+    gflat = gamma.reshape(gamma.shape[:-3] + (n, n * n))
 
-    # first-derivative terms
-    div_ginv = np.einsum("...llk->...k", dginv)  # d_l g^{lk}
-    lowered = np.einsum("...k,...kp->...p", div_ginv, g)  # (d_l g^{lk}) g_kp
-    acc = np.einsum("...p,...pij->...ij", lowered, gamma)
-    acc -= 0.5 * np.einsum("...ilk,...jkl->...ij", dginv, dg)
-    # quadratic Christoffel terms
-    s = np.einsum("...llp->...p", gamma)
-    acc += np.einsum("...p,...pij->...ij", s, gamma)
-    acc -= np.einsum("...lip,...plj->...ij", gamma, gamma)
+    # (d_l g^{lk}) g_kp Gamma^p_ij + Gamma^l_{lp} Gamma^p_ij as one product
+    coef = np.einsum("...llp->...p", gamma) - np.einsum("...llp->...p", x)
+    acc = (coef[..., None, :] @ gflat).reshape(g.shape)
+    # tr(X_i X_j) = sum_a X[:, a, :] @ X[:, :, a]^T, and likewise
+    # Gamma^l_{ip} Gamma^p_{lj} = sum_l Gamma[l] @ Gamma[:, l]; X[:, :, a]
+    # has no unit stride, so it is copied to keep the product on BLAS
+    tr_xx = np.zeros_like(g)
+    for a in range(n):
+        tr_xx += x[sel + (slice(None), a)] @ np.swapaxes(x[..., a], -1, -2).copy()
+        acc -= gamma[sel + (a,)] @ gamma[sel + (slice(None), a)]
+    del x
+    acc += 0.5 * tr_xx
 
     # second-derivative terms, one compact d_p d_q block at a time
     mixed = np.zeros_like(g)  # M_ij = g^{lk} d_l d_i g_kj
@@ -382,14 +397,15 @@ def ricci_of_metric(
     for p in range(n):
         for q in range(p, n):
             d2 = _second_diff(g, p, q, spacing)
-            mixed[sel + (q,)] += np.einsum("...k,...kj->...j", ginv[sel + (p,)], d2)
-            if p != q:
-                mixed[sel + (p,)] += np.einsum("...k,...kj->...j", ginv[sel + (q,)], d2)
+            # one product gives rows p and q of M and the trace for hess_tr
+            prod = ginv @ d2
+            mixed[sel + (q,)] += prod[sel + (p,)]
             weight = 1.0 if p == q else 2.0
-            lap += weight * ginv[sel + (p, q) + (None, None)] * d2
-            tr = np.einsum("...lk,...kl->...", ginv, d2)
+            lap += (weight * ginv[sel + (p, q)])[..., None, None] * d2
+            tr = np.trace(prod, axis1=-2, axis2=-1)
             hess_tr[sel + (p, q)] = tr
             if p != q:
+                mixed[sel + (p,)] += prod[sel + (q,)]
                 hess_tr[sel + (q, p)] = tr
     acc += 0.5 * (mixed + np.swapaxes(mixed, -1, -2) - lap - hess_tr)
     return _symmetrized(acc)

@@ -20,7 +20,8 @@ import chflow.holder_interpolation as hi
 import chflow.stability_analysis as sa
 import chflow.tensor_calculus as tc
 from chflow.chart_geometry import ChartGrid
-from chflow.cli import main, perturbed_metric
+from chflow.cli import main
+from chflow.stability_analysis import perturbed_metric
 
 
 def gate(num: int, name: str, ok: bool, detail: str) -> None:

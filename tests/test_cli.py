@@ -278,6 +278,18 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, argv, field):
     assert err.count("\n") == 1
 
 
+def test_flow_cfl_at_symbol_bound_exits_2(tmp_path, capsys):
+    # n/(4n-4) = 1/3 at m = 2; cfl 0.5 used to run and grow the deviation
+    for cfl in ("0.5", "0.34"):
+        argv = ["flow", "run", "--m", "2", "--spacing", "0.1",
+                "--box-half", "0.4", "--t-end", "0.2", "--cfl", cfl,
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cfl: must be below 1/3 for m = 2\n"
+    assert not (tmp_path / "flow_trace.csv").exists()
+
+
 def test_module_validation_surfaces_as_exit_2(tmp_path, capsys):
     # tau <= m/2 is rejected inside the norms machinery
     assert main(["norms", "weighted", "--spacing", "0.047", "--tau", "0.3",

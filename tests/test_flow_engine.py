@@ -272,6 +272,32 @@ class TestEvolve:
         with pytest.raises(ValueError):
             fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.01, fit_norm="l1")
 
+    def test_cfl_at_or_above_symbol_bound_rejected(self, grid_m1):
+        # n = 2 at m = 1: the bound n/(4n-4) is 1/2
+        for cfl in (0.5, 0.7):
+            with pytest.raises(ValueError, match="cfl must be below 1/2 for m = 1"):
+                fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.01, cfl=cfl)
+        tr = fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.0, cfl=0.49, fit_window=None)
+        assert tr.times.shape == (1,)
+
+    def test_nan_in_initial_metric_rejected(self, grid_m1):
+        g0 = grid_m1.G.copy()
+        mid = tuple(s // 2 for s in grid_m1.shape)
+        g0[mid + (0, 0)] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite values at t = 0.0000"):
+            fe.evolve(grid_m1, g0, t_end=0.01, fit_window=None)
+
+    def test_nan_produced_by_a_step_rejected(self, grid_m1, monkeypatch):
+        def nan_rhs(grid, g):
+            out = np.zeros_like(g)
+            out[tuple(s // 2 for s in grid.shape)] = np.nan
+            return out
+
+        monkeypatch.setattr(fe, "deturck_rhs", nan_rhs)
+        dt = 0.2 * grid_m1.spacing**2 / np.max(np.einsum("...aa->...", grid_m1.Ginv))
+        with pytest.raises(RuntimeError, match=f"non-finite values at t = {dt:.4f}"):
+            fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.01, fit_window=None)
+
 
 class TestLinearizationConsistency:
     def test_gaps_sit_on_grid_floor_with_first_order_excess(self):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from chflow import chart_geometry as cg
+from chflow import flow_engine as fe
 from chflow import frame_algebra as fa
 from chflow import tensor_calculus as tc
 
@@ -284,3 +285,130 @@ def test_l2_convention_factor():
     gfield = tc.sym_tensor(grid, grid.G.copy())
     vol = grid.integrate(np.ones(grid.shape))
     assert tc.l2_norm_sq(gfield) == pytest.approx(4 * 2 * vol, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# einsum oracle: the index-notation forms that the batched-matmul kernels
+# replaced, kept verbatim here (and only here) as an independent reference
+
+
+def _einsum_christoffels(ginv, dg):
+    bracket = (
+        np.einsum("...api->...pai", dg)
+        + np.einsum("...ipa->...pai", dg)
+        - dg
+    )
+    return 0.5 * np.einsum("...lp,...pai->...lai", ginv, bracket)
+
+
+def _einsum_covariant(arr, gamma, spacing):
+    rank = arr.ndim - (gamma.ndim - 3)
+    out = tc._partials(arr, gamma.ndim - 3, spacing)
+    if rank == 1:
+        out -= np.einsum("...lai,...l->...ai", gamma, arr)
+    elif rank == 2:
+        out -= np.einsum("...lai,...lj->...aij", gamma, arr)
+        out -= np.einsum("...laj,...il->...aij", gamma, arr)
+    return out
+
+
+def _einsum_ricci(g, ginv, dg, gamma, spacing):
+    n = g.shape[-1]
+    base = g.ndim - 2
+    sel = (slice(None),) * base
+    dginv = -np.einsum("...la,...iab,...bk->...ilk", ginv, dg, ginv)
+
+    # first-derivative terms
+    div_ginv = np.einsum("...llk->...k", dginv)  # d_l g^{lk}
+    lowered = np.einsum("...k,...kp->...p", div_ginv, g)  # (d_l g^{lk}) g_kp
+    acc = np.einsum("...p,...pij->...ij", lowered, gamma)
+    acc -= 0.5 * np.einsum("...ilk,...jkl->...ij", dginv, dg)
+    # quadratic Christoffel terms
+    s = np.einsum("...llp->...p", gamma)
+    acc += np.einsum("...p,...pij->...ij", s, gamma)
+    acc -= np.einsum("...lip,...plj->...ij", gamma, gamma)
+
+    # second-derivative terms, one compact d_p d_q block at a time
+    mixed = np.zeros_like(g)  # M_ij = g^{lk} d_l d_i g_kj
+    lap = np.zeros_like(g)  # g^{lk} d_l d_k g_ij
+    hess_tr = np.zeros_like(g)  # (d_i d_j g_kl) g^{lk}
+    for p in range(n):
+        for q in range(p, n):
+            d2 = tc._second_diff(g, p, q, spacing)
+            mixed[sel + (q,)] += np.einsum("...k,...kj->...j", ginv[sel + (p,)], d2)
+            if p != q:
+                mixed[sel + (p,)] += np.einsum("...k,...kj->...j", ginv[sel + (q,)], d2)
+            weight = 1.0 if p == q else 2.0
+            lap += weight * ginv[sel + (p, q) + (None, None)] * d2
+            tr = np.einsum("...lk,...kl->...", ginv, d2)
+            hess_tr[sel + (p, q)] = tr
+            if p != q:
+                hess_tr[sel + (q, p)] = tr
+    acc += 0.5 * (mixed + np.swapaxes(mixed, -1, -2) - lap - hess_tr)
+    return tc._symmetrized(acc)
+
+
+def _einsum_deturck_term(grid, g, ginv, gamma):
+    tr = np.einsum("...ij,...ij->...", ginv, grid.G)
+    gt = grid.G - 0.5 * tr[..., None, None] * g
+    nab = _einsum_covariant(gt, gamma, grid.spacing)
+    beta = -np.einsum("...ai,...aij->...j", ginv, nab)
+    beta = np.einsum("...jk,...kl,...l->...j", g, grid.Ginv, beta)
+    dstar = tc._symmetrized(_einsum_covariant(beta, gamma, grid.spacing))
+    return -2.0 * dstar
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        dict(m=2, c=4.0, box_half=0.2, spacing=0.05),  # 9^4
+        dict(m=1, c=2.0, box_half=0.4, spacing=0.05),  # 17^2
+        dict(m=3, c=4.0, box_half=0.2, spacing=0.1),  # 5^6
+    ],
+    ids=["m2", "m1", "m3"],
+)
+def oracle_case(request):
+    """A randomly perturbed metric, its jet, and random rank-1 and rank-2
+    (non-symmetric) fields on the grid."""
+    grid = cg.ChartGrid(**request.param)
+    n = 2 * grid.m
+    rng = np.random.default_rng(20 + grid.m)
+    pert = 0.02 * rng.standard_normal(grid.shape + (n, n))
+    g = grid.G + 0.5 * (pert + np.swapaxes(pert, -1, -2))
+    one = rng.standard_normal(grid.shape + (n,))
+    two = rng.standard_normal(grid.shape + (n, n))
+    return grid, g, tc.metric_jet(g, grid.spacing), one, two
+
+
+def assert_matches_oracle(grid, got, ref):
+    mask = grid.interior_mask(1)
+    scale = float(np.max(np.abs(ref[mask])))
+    gap = float(np.max(np.abs((got - ref)[mask])))
+    assert scale > 0
+    assert gap <= 1e-12 * scale, f"relative gap {gap / scale:.3e}"
+
+
+def test_christoffels_match_einsum_oracle(oracle_case):
+    grid, g, (ginv, dg, gamma), _, _ = oracle_case
+    assert_matches_oracle(grid, gamma, _einsum_christoffels(ginv, dg))
+
+
+def test_ricci_matches_einsum_oracle(oracle_case):
+    grid, g, jet, _, _ = oracle_case
+    got = tc.ricci_of_metric(g, *jet, grid.spacing)
+    assert_matches_oracle(grid, got, _einsum_ricci(g, *jet, grid.spacing))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_covariant_matches_einsum_oracle(oracle_case, rank):
+    grid, _, (_, _, gamma), one, two = oracle_case
+    arr = one if rank == 1 else two
+    got = tc._covariant(arr, gamma, grid.spacing)
+    assert_matches_oracle(grid, got, _einsum_covariant(arr, gamma, grid.spacing))
+
+
+def test_deturck_term_matches_einsum_oracle(oracle_case):
+    grid, g, jet, _, _ = oracle_case
+    ginv, _, gamma = jet
+    got = fe.deturck_term(grid, g, jet)
+    assert_matches_oracle(grid, got, _einsum_deturck_term(grid, g, ginv, gamma))
