@@ -240,7 +240,7 @@ COMMANDS: dict[str, Command] = {
         options=_common(seed=1) + _GRID_OPTS(0.05, 0.4) + (
             Opt("samples", _int_min(1), 10, "number of seeded test fields"),
             Opt("t_end", _float_pos, 0.05, "linear-flow horizon"),
-            Opt("cfl", _float_pos, 0.4, "explicit-step CFL number"),
+            Opt("cfl", _float_pos, 0.4, "explicit-step CFL number, below 2"),
             Opt("record_every", _int_min(1), 1, "steps between trace records"),
             Opt("fit_window", _window_or_none, (0.01, 0.3),
                 'decay-fit window as norm fractions "lo,hi"'),
@@ -558,6 +558,8 @@ def _run_stability_rayleigh(v: dict, outdir: Path):
 def _run_stability_linear_flow(v: dict, outdir: Path):
     if v["fit_window"] is None:
         raise CliError("fit_window", "linear-flow always fits; give lo,hi")
+    if not v["cfl"] < sa._LINEAR_CFL_BOUND:
+        raise CliError("cfl", f"must be below {sa._LINEAR_CFL_BOUND}")
     grid = _stability_grid(v)
     h0 = sa.random_bump_tensor(grid, v["seed"])
     trace = sa.linearized_flow(h0, v["t_end"], cfl=v["cfl"],

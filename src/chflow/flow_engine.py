@@ -14,9 +14,11 @@ The background is a fixed point of both; the linearization of the deturck
 right-hand side at the background is the stability operator, which is what
 ties this module to `stability_analysis` (and is tested, not assumed).
 
-Time stepping is explicit midpoint with a parabolic step limit re-evaluated
-every step; a Dirichlet band of boundary cells is pinned to the background
-after every stage, which also hides the one-sided difference rows.
+Time stepping is the explicit midpoint integrator `sa._integrate`, shared
+with the linearized flow: the parabolic step limit is re-evaluated every
+step, the last step is shortened so the run ends exactly at t_end, and a
+Dirichlet band of boundary cells is pinned to the background after every
+stage, which also hides the one-sided difference rows.
 """
 
 from __future__ import annotations
@@ -40,14 +42,9 @@ __all__ = [
     "FixedPointReport",
     "fixed_point_residual",
     "ellipticity_pencil_range",
-    "principal_apply",
     "FlowTrace",
     "evolve",
 ]
-
-
-def _inv_sym(g: np.ndarray) -> np.ndarray:
-    return tc._symmetrized(np.linalg.inv(g))
 
 
 def ricci_of(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
@@ -157,31 +154,11 @@ def ellipticity_pencil_range(grid: ChartGrid, g: np.ndarray) -> tuple[float, flo
     numbers bound the ellipticity constants of the evolving operator
     relative to the background; both are exactly 1 at g = g_B.
     """
-    pencil = np.einsum("...ij,...jk->...ik", grid.G, _inv_sym(g))
+    pencil = grid.G @ np.linalg.inv(g)
     ev = np.linalg.eigvals(pencil.reshape(-1, g.shape[-1], g.shape[-1]))
     if np.max(np.abs(ev.imag)) > 1e-9:
         raise AssertionError("ellipticity pencil has complex eigenvalues (internal)")
     return float(np.min(ev.real)), float(np.max(ev.real))
-
-
-def principal_apply(grid: ChartGrid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Frozen-coefficient principal part g^{pq} d_p d_q h_{ij}.
-
-    Compact second differences weighted by the inverse of the supplied
-    metric; this is the leading part of every operator in this package.
-    The outermost cell layer wraps around and is meaningless; callers mask
-    it with their Dirichlet band.
-    """
-    ginv = _inv_sym(g)
-    n = g.shape[-1]
-    out = np.zeros_like(h)
-    sel = (slice(None),) * len(grid.shape)
-    for p in range(n):
-        for q in range(p, n):
-            weight = 1.0 if p == q else 2.0
-            d2 = tc._second_diff(h, p, q, grid.spacing)
-            out += weight * ginv[sel + (p, q) + (None, None)] * d2
-    return out
 
 
 @dataclass(frozen=True)
@@ -208,12 +185,6 @@ def _cfl_bound(m: int) -> Fraction:
     return Fraction(n, 4 * n - 4)
 
 
-def _pin_band(g: np.ndarray, grid: ChartGrid, band: int) -> None:
-    if band > 0:
-        outside = ~grid.interior_mask(band)
-        g[outside] = grid.G[outside]
-
-
 def evolve(
     grid: ChartGrid,
     g0: np.ndarray,
@@ -228,26 +199,28 @@ def evolve(
 ) -> FlowTrace:
     """Run the nonlinear flow from g0 and fit the tail decay rate.
 
-    The step limit dt = cfl spacing^2 / sup tr(g^{-1}) is re-evaluated every
-    step from the current metric.  The index coupling in the Ricci symbol
-    makes the stiffest (Nyquist, conformal-direction) mode a factor
-    (2n-2)/n larger than the scalar estimate sup tr(g^{-1}) suggests, so
-    cfl must stay below n/(4n-4), or ValueError is raised; the default 0.2
-    keeps a margin for every n.  Every step is checked for non-finite
-    values (RuntimeError).  The trace records the deviation from the
-    background in L^2 and in the exponentially weighted sup norm
-    sup e^{tau r} |g - g_B| (the grid
-    restriction of the weighted norms in holder_interpolation).  The decay
-    rate is fitted, in the norm named by fit_norm ("l2" or "sup"), on the
-    window where that deviation lies between the given fractions of its
-    initial value; the discrete steady state differs from the background
-    at the level of the truncation error, so the lower fraction must sit
-    well above that floor (measure the floor by evolving from the
-    background itself).  The floor is much smaller relative to an order-one
-    localized bump in the sup norm than in L^2, which spreads the bump mass
-    over the domain volume.  fit_window=None skips the fit and reports a
-    rate of nan, which is the only sensible choice when starting at or
-    below the floor.
+    Steps are taken by the shared explicit midpoint integrator
+    `sa._integrate`, which stops exactly at t_end.  The step limit
+    `sa.stable_timestep`, dt = cfl spacing^2 / sup tr(g^{-1}), is
+    re-evaluated every step from the current metric.  The index coupling
+    in the Ricci symbol makes the stiffest (Nyquist, conformal-direction)
+    mode a factor (2n-2)/n larger than the scalar estimate sup tr(g^{-1})
+    suggests, so cfl must stay below n/(4n-4), or ValueError is raised;
+    the default 0.2 keeps a margin for every n.  Every step is checked for
+    non-finite values, and every record for a positive metric
+    (RuntimeError).  The trace records the deviation from the background
+    in L^2 and in the exponentially weighted sup norm sup e^{tau r}
+    |g - g_B| (the grid restriction of the weighted norms in
+    holder_interpolation).  The decay rate is fitted, in the norm named by
+    fit_norm ("l2" or "sup"), on the window where that deviation lies
+    between the given fractions of its initial value; the discrete steady
+    state differs from the background at the level of the truncation
+    error, so the lower fraction must sit well above that floor (measure
+    the floor by evolving from the background itself).  The floor is much
+    smaller relative to an order-one localized bump in the sup norm than
+    in L^2, which spreads the bump mass over the domain volume.
+    fit_window=None skips the fit and reports a rate of nan, which is the
+    only sensible choice when starting at or below the floor.
     """
     try:
         rhs = {"deturck": deturck_rhs, "ricci": normalized_ricci_rhs}[mode]
@@ -258,59 +231,25 @@ def evolve(
     cfl_max = _cfl_bound(grid.m)
     if not cfl < cfl_max:
         raise ValueError(f"cfl must be below {cfl_max} for m = {grid.m}")
-    g = g0.copy()
-    _pin_band(g, grid, band)
-    t = 0.0
-    times, l2_dev, sup_dev, eig_trace = [0.0], [], [], []
-    dt_first = math.nan
+    outside = ~grid.interior_mask(band)[..., None, None]
     weight = np.exp(tau * grid.r_geo)
+    l2_dev, sup_dev, eig_trace = [], [], []
 
-    def dev_norms(gcur: np.ndarray) -> tuple[float, float]:
+    def observe(t: float, gcur: np.ndarray) -> None:
         dev = gcur - grid.G
-        l2 = math.sqrt(tc.l2_norm_sq(tc.TensorField(grid, tc._symmetrized(dev), 0)))
-        wsup = float(np.max(weight * np.max(np.abs(dev), axis=(-2, -1))))
-        return l2, wsup
+        sym = tc.TensorField(grid, tc._symmetrized(dev), 0)
+        l2_dev.append(math.sqrt(tc.l2_norm_sq(sym)))
+        sup_dev.append(float(np.max(weight * np.max(np.abs(dev), axis=(-2, -1)))))
+        eig_trace.append(float(np.min(np.linalg.eigvalsh(gcur))))
+        if eig_trace[-1] <= 0:
+            raise RuntimeError(f"metric lost positivity at t = {t:.4f}")
 
-    def min_eig_of(gcur: np.ndarray) -> float:
-        ev = np.linalg.eigvalsh(gcur.reshape(-1, gcur.shape[-1], gcur.shape[-1]))
-        return float(np.min(ev))
-
-    def check_finite(gcur: np.ndarray) -> None:
-        if not np.isfinite(gcur).all():
-            raise RuntimeError(f"flow produced non-finite values at t = {t:.4f}")
-
-    check_finite(g)
-    l2, sup = dev_norms(g)
-    l2_dev.append(l2)
-    sup_dev.append(sup)
-    eig_trace.append(min_eig_of(g))
-    step = 0
-    while t < t_end:
-        dt = cfl * grid.spacing**2 / float(np.max(np.einsum("...aa->...", _inv_sym(g))))
-        dt = min(dt, t_end - t)
-        k1 = rhs(grid, g)
-        gm = g + 0.5 * dt * k1
-        _pin_band(gm, grid, band)
-        k2 = rhs(grid, gm)
-        g = g + dt * k2
-        _pin_band(g, grid, band)
-        t += dt
-        check_finite(g)
-        step += 1
-        if step == 1:
-            dt_first = dt
-        if step % record_every == 0 or t >= t_end:
-            l2, sup = dev_norms(g)
-            times.append(t)
-            l2_dev.append(l2)
-            sup_dev.append(sup)
-            eig_trace.append(min_eig_of(g))
-            if eig_trace[-1] <= 0:
-                raise RuntimeError(f"metric lost positivity at t = {t:.4f}")
-    times = np.asarray(times)
-    l2_dev = np.asarray(l2_dev)
-    sup_dev = np.asarray(sup_dev)
-    eig_trace = np.asarray(eig_trace)
+    times, dt_first = sa._integrate(
+        lambda gcur: rhs(grid, gcur), g0, t_end,
+        lambda gcur: sa.stable_timestep(np.linalg.inv(gcur), grid.spacing, cfl),
+        lambda gcur: np.copyto(gcur, grid.G, where=outside), record_every, observe,
+    )
+    l2_dev, sup_dev, eig_trace = map(np.asarray, (l2_dev, sup_dev, eig_trace))
     if fit_window is None:
         rate, window = math.nan, (0, 0)
     else:

@@ -21,6 +21,7 @@ the quantity whose convergence order is measured.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,7 +236,7 @@ def bochner_convergence(
 
 @dataclass(frozen=True)
 class DecayTrace:
-    """L^2 norm history of a linear evolution and its fitted decay rate."""
+    """L^2 norm history of a linear evolution, its decay rate and first step."""
 
     times: np.ndarray
     norms: np.ndarray
@@ -248,20 +249,60 @@ class DecayTrace:
         return float(self.norms[0])
 
 
-def stable_timestep(grid: ChartGrid, cfl: float = 0.4) -> float:
+def stable_timestep(ginv: np.ndarray, spacing: float, cfl: float = 0.4) -> float:
     """Parabolic step limit dt = cfl * spacing^2 / sup tr(g^{-1}).
 
     The leading symbol of all operators here is g^{ab} d_a d_b, so the
-    explicit-step restriction scales with the largest inverse-metric trace
-    on the grid.
+    explicit-step restriction scales with the largest trace of the inverse
+    metric `ginv` (shape grid.shape + (n, n)) on the grid.
     """
-    sup_tr = float(np.max(np.einsum("...aa->...", grid.Ginv)))
-    return cfl * grid.spacing**2 / sup_tr
+    sup_tr = float(np.max(np.einsum("...aa->...", ginv)))
+    return cfl * spacing**2 / sup_tr
 
 
-def _zero_band(arr: np.ndarray, grid: ChartGrid, band: int) -> None:
-    if band > 0:
-        arr[~grid.interior_mask(band)] = 0.0
+# midpoint step's real-axis limit dt rho < 2; here rho <= sup tr(g^{-1})/spacing^2
+_LINEAR_CFL_BOUND = 2
+
+
+def _integrate(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    t_end: float,
+    step_limit: Callable[[np.ndarray], float],
+    pin: Callable[[np.ndarray], None],
+    record_every: int,
+    observe: Callable[[float, np.ndarray], None],
+) -> tuple[np.ndarray, float]:
+    """Explicit midpoint steps of dy/dt = rhs(y) from t = 0 to exactly t_end.
+
+    dt = min(step_limit(y), t_end - t), with a remainder below roundoff
+    absorbed into the last step.  pin(y) fixes the boundary band in place
+    after every stage; every state is checked for non-finite values
+    (RuntimeError) and observe(t, y) is called at t = 0, every record_every
+    steps and at t_end.  Returns the observed times and the first dt.
+    """
+    y = y0.copy()
+    pin(y)
+    t, step, dt_first, times = 0.0, 0, math.nan, []
+    while True:
+        if not np.isfinite(y).all():
+            raise RuntimeError(f"flow produced non-finite values at t = {t:.4f}")
+        if step % record_every == 0 or t >= t_end:
+            times.append(t)
+            observe(t, y)
+        if t >= t_end:
+            return np.asarray(times), dt_first
+        dt = step_limit(y)
+        last = t_end - t - dt <= 1e-10 * t_end
+        if last:
+            dt = t_end - t
+        mid = y + 0.5 * dt * rhs(y)
+        pin(mid)
+        y = y + dt * rhs(mid)
+        pin(y)
+        t = t_end if last else t + dt
+        dt_first = dt if step == 0 else dt_first
+        step += 1
 
 
 def _fit_decay_rate(
@@ -287,36 +328,29 @@ def linearized_flow(
     record_every: int = 1,
     fit_window: tuple[float, float] = (0.01, 0.3),
 ) -> DecayTrace:
-    """Evolve dh/dt = A h with explicit midpoint steps and Dirichlet band.
+    """Evolve dh/dt = A h to exactly t_end with the shared `_integrate`.
 
-    The boundary band of `band` cells is pinned to zero after every stage;
-    the L^2 norm is recorded every `record_every` steps and the decay rate
-    is fitted on the window where the norm lies between the given fractions
-    of its initial value (above any floor, below the transient).
+    The step is `stable_timestep` on the background (the last one shorter
+    to land on t_end); cfl must stay below the midpoint step's limit of 2,
+    or ValueError is raised.  The boundary band of `band` cells is pinned
+    to zero after every stage; the L^2 norm is recorded every
+    `record_every` steps and at t_end, and the decay rate is fitted on the
+    window where the norm lies between the given fractions of its initial
+    value (above any floor, below the transient).
     """
+    if not cfl < _LINEAR_CFL_BOUND:
+        raise ValueError(f"cfl must be below {_LINEAR_CFL_BOUND}")
     grid = h0.grid
-    dt = stable_timestep(grid, cfl)
-    steps = max(int(math.ceil(t_end / dt)), 1)
-    h = h0.comp.copy()
-    _zero_band(h, grid, band)
-
-    def rhs(arr: np.ndarray) -> np.ndarray:
-        return tc.stability_operator(tc.TensorField(grid, arr, 0)).comp
-
-    times = [0.0]
-    norms = [math.sqrt(tc.l2_norm_sq(tc.TensorField(grid, h, 0)))]
-    for k in range(steps):
-        k1 = rhs(h)
-        mid = h + 0.5 * dt * k1
-        _zero_band(mid, grid, band)
-        k2 = rhs(mid)
-        h = h + dt * k2
-        _zero_band(h, grid, band)
-        if (k + 1) % record_every == 0 or k == steps - 1:
-            times.append((k + 1) * dt)
-            norms.append(math.sqrt(tc.l2_norm_sq(tc.TensorField(grid, h, 0))))
-    times = np.asarray(times)
-    norms = np.asarray(norms)
+    step = stable_timestep(grid.Ginv, grid.spacing, cfl)
+    outside = ~grid.interior_mask(band)[..., None, None]
+    norms = []
+    times, dt = _integrate(
+        lambda arr: tc.stability_operator(tc.TensorField(grid, arr, 0)).comp,
+        h0.comp, t_end, lambda arr: step,
+        lambda arr: np.copyto(arr, 0.0, where=outside), record_every,
+        lambda t, arr: norms.append(tc.l2_norm_sq(tc.TensorField(grid, arr, 0))),
+    )
+    norms = np.sqrt(norms)
     rate, window = _fit_decay_rate(times, norms, fit_window)
     return DecayTrace(times=times, norms=norms, rate=rate, fit_window=window, dt=dt)
 

@@ -241,7 +241,7 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
     agree to O(spacing^2); keeping both routes guards the implementation.
     """
     grid = field.grid
-    out = rough_laplacian(field).comp + 2.0 * curvature_action(field).comp
+    out = stability_operator(field).comp
     if ricci_mode == "exact":
         out += 2.0 * _lam(grid) * field.comp
     elif ricci_mode == "fd":

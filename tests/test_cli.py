@@ -290,6 +290,16 @@ def test_flow_cfl_at_symbol_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "flow_trace.csv").exists()
 
 
+def test_linear_flow_cfl_at_midpoint_limit_exits_2(tmp_path, capsys):
+    # the midpoint step's real-axis limit is 2; cfl 3 used to run and let
+    # the norm grow until the decay fit failed
+    for cfl in ("3", "2"):
+        argv = ["stability", "linear-flow", "--cfl", cfl, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cfl: must be below 2\n"
+    assert not (tmp_path / "decay.csv").exists()
+
+
 def test_module_validation_surfaces_as_exit_2(tmp_path, capsys):
     # tau <= m/2 is rejected inside the norms machinery
     assert main(["norms", "weighted", "--spacing", "0.047", "--tau", "0.3",

@@ -189,23 +189,14 @@ class TestEllipticityPencil:
         assert 1.001 < hi < 1.05
 
 
-class TestPrincipalApply:
-    def test_exact_on_quadratic_field(self, grid_m1):
-        v = np.array([1.0, -0.5])
-        S = np.array([[2.0, 1.0], [1.0, -3.0]])
-        h = ((grid_m1.points @ v) ** 2)[..., None, None] * S
-        out = fe.principal_apply(grid_m1, grid_m1.G, h)
-        expect = (
-            2.0 * np.einsum("...pq,p,q->...", grid_m1.Ginv, v, v)[..., None, None] * S
-        )
-        mask = grid_m1.interior_mask(1)
-        assert np.max(np.abs((out - expect)[mask])) < 1e-12
-
-
 class TestEvolve:
     def test_background_stays_at_truncation_floor(self, grid_m1):
         tr = fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.03, record_every=10, fit_window=None)
         assert math.isnan(tr.rate)
+        # 120 steps of about 2.5e-4, the last shortened to land on t_end:
+        # records at t = 0 and every tenth step
+        assert len(tr.times) == 13
+        assert tr.times[-1] == 0.03
         assert 1e-4 < tr.l2_dev[-1] < 1e-3
         assert tr.min_metric_eig > 0.999
         dt_expect = 0.2 * grid_m1.spacing**2 / np.max(

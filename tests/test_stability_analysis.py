@@ -128,7 +128,8 @@ class TestLinearizedFlow:
     def test_timestep_formula(self, flow_setup):
         grid, _ = flow_setup
         sup_tr = float(np.max(np.einsum("...aa->...", grid.Ginv)))
-        assert sa.stable_timestep(grid) == pytest.approx(0.4 * grid.spacing**2 / sup_tr)
+        dt = sa.stable_timestep(grid.Ginv, grid.spacing)
+        assert dt == pytest.approx(0.4 * grid.spacing**2 / sup_tr)
         # the inverse-metric trace peaks at the origin: 2m * (c/4)
         assert sup_tr == pytest.approx(2 * grid.m * grid.c / 4.0, rel=1e-12)
 
@@ -150,6 +151,39 @@ class TestLinearizedFlow:
         r1 = sa.linearized_flow(h0, t_end=0.12).rate
         r2 = sa.linearized_flow(scaled, t_end=0.12).rate
         assert r2 == pytest.approx(r1, rel=1e-9)
+
+    def test_ends_at_t_end_without_a_roundoff_step(self, flow_setup):
+        # dt ~ 5e-4 divides 0.504 1008 times, but the summed times fall short
+        # of t_end by roundoff; that remainder must not become a 1009th step
+        _, h0 = flow_setup
+        trace = sa.linearized_flow(h0, t_end=0.504)
+        assert trace.dt == pytest.approx(5e-4, rel=1e-12)
+        assert len(trace.times) == 1009
+        assert trace.times[-1] == 0.504
+
+    def test_last_step_clipped_to_t_end(self, flow_setup):
+        _, h0 = flow_setup
+        trace = sa.linearized_flow(h0, t_end=0.0502, record_every=10)
+        assert trace.times[-1] == 0.0502
+        assert trace.times[-2] == pytest.approx(0.05, rel=1e-12)
+
+    def test_cfl_at_or_above_midpoint_limit_rejected(self, flow_setup):
+        _, h0 = flow_setup
+        for cfl in (2.0, 3.0):
+            with pytest.raises(ValueError, match="cfl must be below 2"):
+                sa.linearized_flow(h0, t_end=0.25, cfl=cfl)
+        # just below the limit the step is still stable and the norm decays
+        trace = sa.linearized_flow(h0, t_end=0.25, cfl=1.9)
+        assert trace.norms[-1] < 1e-2 * trace.initial_norm
+        assert trace.rate > 20.0
+
+    def test_nan_in_initial_field_rejected(self, flow_setup):
+        grid, h0 = flow_setup
+        comp = h0.comp.copy()
+        comp[tuple(s // 2 for s in grid.shape) + (0, 0)] = np.nan
+        bad = tc.TensorField(grid, comp, h0.support_margin)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            sa.linearized_flow(bad, t_end=0.05)
 
     def test_fit_window_failure(self):
         times = np.array([0.0, 1.0, 2.0])
