@@ -408,8 +408,9 @@ class ChartGrid:
     """Uniform coordinate grid with cached geometry of the background metric.
 
     The grid covers [-box_half, box_half]^{2m} with the given spacing, which
-    must divide box_half.  Cached fields (built lazily on first access;
-    Gamma is built slab by slab along axis 0 to bound its peak memory):
+    must divide box_half.  The grid is the only writer of its cache, and
+    these fields are its only keys (built lazily on first access; Gamma is
+    built slab by slab along axis 0 to bound its peak memory):
 
         points    (..., 2m)       coordinates
         G, Ginv   (..., 2m, 2m)   metric and inverse

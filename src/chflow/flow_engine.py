@@ -78,16 +78,9 @@ def deturck_term(
     background metric, which is parallel.
     """
     ginv, _, gamma = tc.metric_jet(g, grid.spacing) if jet is None else jet
-    tr = np.einsum("...ij,...ij->...", ginv, grid.G)
-    gt = grid.G - 0.5 * tr[..., None, None] * g
-    nab = tc._covariant(gt, gamma, grid.spacing)
-    n = g.shape[-1]
-    # delta_g G(g, g_B): g^{ai} (nabla_a gt)_{ij} as one (1, n^2) @ (n^2, n)
-    rows = ginv.reshape(g.shape[:-2] + (1, n * n))
-    beta = -(rows @ nab.reshape(g.shape[:-2] + (n * n, n)))[..., 0, :]
-    beta = vector_transport(grid, g, beta)
-    dstar = tc._symmetrized(tc._covariant(beta, gamma, grid.spacing))
-    return -2.0 * dstar
+    nab = tc._covariant(tc._einstein(grid.G, g, ginv), gamma, grid.spacing)
+    beta = vector_transport(grid, g, tc._divergence(nab, ginv))
+    return -2.0 * tc._symmetrized(tc._covariant(beta, gamma, grid.spacing))
 
 
 def deturck_rhs(grid: ChartGrid, g: np.ndarray) -> np.ndarray:

@@ -406,10 +406,9 @@ def sobolev_embedding_check(
     lemma_c = math.exp(grid.m - xi) + math.exp(2 * grid.m) * math.exp(-2 * xi) / (
         1.0 - math.exp(-2 * xi)
     )
-    gi = grid.Ginv
-    h2 = np.einsum("...ik,...jl,...ij,...kl->...", gi, gi, h.comp, h.comp)
-    nab = tc.covariant_derivative(h).comp
-    nh2 = np.einsum("...ab,...ik,...jl,...aij,...bkl->...", gi, gi, gi, nab, nab)
+    nab = tc.covariant_derivative(h)
+    h2 = tc._pairing(h, h)
+    nh2 = tc._pairing(nab, nab)
     inside = grid.r_geo <= annuli.coverage_radius
     integral = grid.integrate((h2 + nh2) * inside)
     tail = 0.0

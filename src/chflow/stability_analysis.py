@@ -358,7 +358,6 @@ def linearized_flow(
 def linearization_consistency(
     h: tc.TensorField,
     s_values: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
-    subtract_base: bool = True,
 ) -> dict:
     """Gap between the nonlinear gauged flow map at g_B + s h and s A h.
 
@@ -369,11 +368,6 @@ def linearization_consistency(
     D(s) tends to the discrete linearization, which differs from the
     discrete A h by truncation error that is independent of s.  The floor
     is estimated from an extra evaluation at s = 1e-5 and reported.
-
-    With subtract_base=False the raw quotient Q(g_B + s h)/s is used; the
-    discrete fixed-point residual then enters as a 1/s term, so this
-    variant is only meaningful on grids fine enough that the fixed-point
-    residual is negligible against s * sup|A h|.
     """
     from . import flow_engine as fe
 
@@ -381,14 +375,14 @@ def linearization_consistency(
     ah = tc.stability_operator(h).comp
     mask = grid.interior_mask(3)
     scale = float(np.max(np.abs(ah[mask]))) or 1.0  # h = 0 gives raw gaps
-    base = fe.deturck_rhs(grid, grid.G) if subtract_base else 0.0
+    base = fe.deturck_rhs(grid, grid.G)
 
     def gap(s: float) -> float:
         q = fe.deturck_rhs(grid, grid.G + s * h.comp)
         return float(np.max(np.abs(((q - base) / s - ah)[mask]))) / scale
 
     gaps = [gap(s) for s in s_values]
-    floor = gap(1e-5) if subtract_base else math.nan
+    floor = gap(1e-5)
     order = (
         float(np.polyfit(np.log(np.asarray(s_values)), np.log(np.asarray(gaps)), 1)[0])
         if all(g > 0 for g in gaps)
@@ -397,7 +391,7 @@ def linearization_consistency(
     excess = np.asarray(gaps) - floor
     excess_order = (
         float(np.polyfit(np.log(np.asarray(s_values)), np.log(excess), 1)[0])
-        if subtract_base and np.all(excess > 0)
+        if np.all(excess > 0)
         else math.nan
     )
     return {

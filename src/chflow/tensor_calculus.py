@@ -144,59 +144,31 @@ def covariant_derivative(field: TensorField) -> TensorField:
     return TensorField(grid, out, max(field.support_margin - 1, 0))
 
 
-def _ginv_gamma(grid: ChartGrid) -> np.ndarray:
-    # M[..., b, l, i] = g^{ab} Gamma^l_{ai}
-    if "ginv_gamma" not in grid._cache:
-        grid._cache["ginv_gamma"] = np.einsum(
-            "...ab,...lai->...bli", grid.Ginv, grid.Gamma
-        )
-    return grid._cache["ginv_gamma"]
-
-
-def _traced_gamma(grid: ChartGrid) -> np.ndarray:
-    # W[..., l] = g^{ab} Gamma^l_{ab}
-    if "traced_gamma" not in grid._cache:
-        grid._cache["traced_gamma"] = np.einsum(
-            "...ab,...lab->...l", grid.Ginv, grid.Gamma
-        )
-    return grid._cache["traced_gamma"]
-
-
 def rough_laplacian(field: TensorField) -> TensorField:
     """Connection Laplacian g^{ab} (nabla^2 h)_{ab ...} on a (0,2)-tensor.
 
-    Assembled from the first covariant derivative K and corrected slot by
-    slot, so no rank-4 intermediate is ever materialized.
+    From the covariant derivative K, symmetric in (i, j), as g^{ab} d_a K_bij
+    - W^l K_lij - X - X^T with W^l = g^{ab} Gamma^l_ab and X_ij = g^{ab}
+    Gamma^l_ai K_blj: batched matmuls on `grid.Ginv` and `grid.Gamma`, and
+    no rank-4 intermediate.
     """
     if field.rank != 2:
         raise NotImplementedError("rough laplacian implemented for rank 2")
     grid = field.grid
-    n = 2 * grid.m
+    n, gs = 2 * grid.m, grid.shape
     K = covariant_derivative(field).comp  # (..., b, i, j)
-    base = len(grid.shape)
-    acc = np.zeros_like(field.comp)
-    sel = (slice(None),) * base
+    kflat = K.reshape(gs + (n, n * n))
+    acc = np.zeros(gs + (1, n * n))
     for a in range(n):
-        dK = np.gradient(K, grid.spacing, axis=a)  # d_a K_{bij}
-        acc += np.einsum("...b,...bij->...ij", grid.Ginv[sel + (a,)], dK)
-        del dK
-    acc -= np.einsum("...l,...lij->...ij", _traced_gamma(grid), K)
-    M = _ginv_gamma(grid)
-    acc -= np.einsum("...bli,...blj->...ij", M, K)
-    acc -= np.einsum("...blj,...bil->...ij", M, K)
+        acc += grid.Ginv[..., a : a + 1, :] @ np.gradient(kflat, grid.spacing, axis=a)
+    w = grid.Gamma.reshape(gs + (n, n * n)) @ grid.Ginv.reshape(gs + (n * n, 1))
+    acc -= np.swapaxes(w, -1, -2) @ kflat
+    # Y[..., l, a, j] = g^{ab} K_blj; X contracts Gamma with Y over (l, a)
+    y = grid.Ginv[..., None, :, :] @ np.swapaxes(K, -3, -2)
+    gflat = grid.Gamma.reshape(gs + (n * n, n))
+    x = np.swapaxes(gflat, -1, -2) @ y.reshape(gflat.shape)
+    acc = acc.reshape(field.comp.shape) - (x + np.swapaxes(x, -1, -2))
     return TensorField(grid, _symmetrized(acc), max(field.support_margin - 2, 0))
-
-
-def _raised(field: TensorField) -> np.ndarray:
-    # all indices raised with the background inverse metric
-    out = field.comp
-    ginv = field.grid.Ginv
-    letters = "ijk"
-    for slot in range(field.rank):
-        idx = letters[: field.rank]
-        src = idx[:slot] + "x" + idx[slot + 1 :]
-        out = np.einsum(f"...x{idx[slot]},...{src}->...{idx}", ginv, out)
-    return out
 
 
 def trace_field(field: TensorField) -> TensorField:
@@ -211,25 +183,19 @@ def curvature_action(field: TensorField) -> TensorField:
     """C_{ij} = R_{ipqj} h^{pq}, the curvature term of the Lichnerowicz
     Laplacian (which contributes 2 C).
 
-    Closed form on this background: C = -(c/4)[g tr_g(h) - h - 3 Om H^ Om]
-    with Om the Kahler form and H^ the fully raised field.  Purely algebraic,
-    no discretization error.
+    Closed form on this background: C = -(c/4)[g tr_g(h) - h - 3 J h J],
+    J = `j_matrix(m)`.  The curvature carries the Kahler form J^T g twice,
+    and the metric is Hermitian (J g = g J), so the raised field between
+    them collapses to the constant conjugation J h J: purely algebraic, and
+    exactly symmetric, since J only permutes and negates entries.
     """
     grid = field.grid
     if field.rank != 2:
         raise ValueError("curvature_action expects rank 2")
-    if "omega" not in grid._cache:
-        grid._cache["omega"] = np.einsum("ca,...cb->...ab", j_matrix(grid.m), grid.G)
-    om = grid._cache["omega"]
-    hup = _raised(field)
-    tr = np.einsum("...ij,...ij->...", grid.Ginv, field.comp)
-    core = (
-        grid.G * tr[..., None, None]
-        - field.comp
-        - 3.0 * np.einsum("...ip,...pq,...qj->...ij", om, hup, om)
-    )
-    out = -(grid.c / 4.0) * core
-    return TensorField(grid, _symmetrized(out), field.support_margin)
+    J = j_matrix(grid.m)
+    tr = trace_field(field).comp[..., None, None]
+    core = grid.G * tr - field.comp - 3.0 * (J @ field.comp @ J)
+    return TensorField(grid, -(grid.c / 4.0) * core, field.support_margin)
 
 
 def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
@@ -237,7 +203,7 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
 
     ricci_mode selects how the Ricci terms are evaluated: "exact" uses the
     Einstein identity Rc = -lam g of the background, "fd" recomputes the
-    Ricci tensor by finite differences of the Christoffel cache.  The two
+    Ricci tensor by finite differences of the background metric.  The two
     agree to O(spacing^2); keeping both routes guards the implementation.
     """
     grid = field.grid
@@ -245,9 +211,7 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
     if ricci_mode == "exact":
         out += 2.0 * _lam(grid) * field.comp
     elif ricci_mode == "fd":
-        rc = background_fd_ricci(grid)
-        rh = np.einsum("...iq,...qp->...ip", rc, grid.Ginv)
-        mixed = np.einsum("...ip,...pj->...ij", rh, field.comp)
+        mixed = background_fd_ricci(grid) @ grid.Ginv @ field.comp
         out -= mixed + np.swapaxes(mixed, -1, -2)
     else:
         raise ValueError(f"unknown ricci_mode {ricci_mode!r}")
@@ -261,12 +225,26 @@ def stability_operator(field: TensorField) -> TensorField:
     return TensorField(grid, out, max(field.support_margin - 2, 0))
 
 
+def _einstein(u: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # G(g, u) = u - (1/2) tr_g(u) g, on raw arrays
+    tr = np.einsum("...ij,...ij->...", ginv, u)
+    return u - 0.5 * tr[..., None, None] * g
+
+
+def _divergence(nab: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # -g^{ai} nab_{aij} for nab[..., a, i, j] = (nabla_a h)_{ij}, as one
+    # (1, n^2) @ (n^2, n) product per point
+    n = ginv.shape[-1]
+    rows = ginv.reshape(ginv.shape[:-2] + (1, n * n))
+    return -(rows @ nab.reshape(ginv.shape[:-2] + (n * n, n)))[..., 0, :]
+
+
 def divergence(field: TensorField) -> TensorField:
     """One-form (delta h)_j = -g^{ai} (nabla_a h)_{ij}."""
     if field.rank != 2:
         raise ValueError("divergence expects rank 2")
     K = covariant_derivative(field)
-    comp = -np.einsum("...ai,...aij->...j", field.grid.Ginv, K.comp)
+    comp = _divergence(K.comp, field.grid.Ginv)
     return TensorField(field.grid, comp, K.support_margin)
 
 
@@ -281,8 +259,7 @@ def divergence_adjoint(field: TensorField) -> TensorField:
 
 def einstein_tensor_part(field: TensorField) -> TensorField:
     """G(h) = h - (1/2) (tr_g h) g."""
-    tr = trace_field(field).comp
-    comp = field.comp - 0.5 * tr[..., None, None] * field.grid.G
+    comp = _einstein(field.comp, field.grid.G, field.grid.Ginv)
     return TensorField(field.grid, comp, field.support_margin)
 
 
@@ -304,14 +281,22 @@ def three_tensor_T(field: TensorField) -> TensorField:
     return TensorField(field.grid, t, max(field.support_margin - 1, 0))
 
 
+def _pairing(a: TensorField, b: TensorField) -> np.ndarray:
+    # pointwise <a, b>_g: each round raises the leading slot of a with Ginv
+    # and rotates it to the back, so `rank` rounds restore the slot order
+    raised = a.comp
+    for _ in range(a.rank):
+        raised = a.grid.Ginv @ raised.reshape(a.grid.shape + (2 * a.grid.m, -1))
+        raised = np.moveaxis(raised.reshape(a.comp.shape), -a.rank, -1)
+    return np.sum(raised * b.comp, axis=tuple(range(-a.rank, 0)))
+
+
 def l2_inner(a: TensorField, b: TensorField) -> float:
-    """Background L^2 pairing 4 * integral of <a, b>_g (see module docs)."""
+    """Background L^2 pairing 4 * integral of <a, b>_g (see module docs);
+    each slot of a is raised by one batched matmul on `grid.Ginv`."""
     if a.grid is not b.grid or a.rank != b.rank:
         raise ValueError("fields must share a grid and rank")
-    raised = _raised(a)
-    axes = tuple(range(-a.rank, 0)) if a.rank else ()
-    dens = np.sum(raised * b.comp, axis=axes) if a.rank else raised * b.comp
-    return 4.0 * a.grid.integrate(dens)
+    return 4.0 * a.grid.integrate(_pairing(a, b))
 
 
 def l2_norm_sq(a: TensorField) -> float:
@@ -412,8 +397,5 @@ def ricci_of_metric(
 
 
 def background_fd_ricci(grid: ChartGrid) -> np.ndarray:
-    """Finite-difference Ricci tensor of the background metric (cached)."""
-    if "fd_ricci" not in grid._cache:
-        jet = metric_jet(grid.G, grid.spacing)
-        grid._cache["fd_ricci"] = ricci_of_metric(grid.G, *jet, grid.spacing)
-    return grid._cache["fd_ricci"]
+    """Finite-difference Ricci tensor of the background metric."""
+    return ricci_of_metric(grid.G, *metric_jet(grid.G, grid.spacing), grid.spacing)

@@ -24,6 +24,7 @@ import pytest
 from chflow import chart_geometry as cg
 from chflow import flow_engine as fe
 from chflow import frame_algebra as fa
+from chflow import stability_analysis as sa
 from chflow import tensor_calculus as tc
 
 
@@ -279,6 +280,34 @@ def test_l2_inner_properties():
         tc.l2_inner(a, tc.partial_derivative(phi))
 
 
+def test_curvature_action_is_the_riemann_contraction():
+    # independent of the closed form: C_ij = R_{ipqj} h^{pq} with the full
+    # coordinate curvature tensor, where g is not a multiple of the identity
+    # (the origin is covered by the frame-level test above)
+    m, c = 2, 4.0
+    grid = cg.ChartGrid(m=m, c=c, box_half=0.2, spacing=0.1)
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal(grid.shape + (2 * m, 2 * m))
+    h = tc.sym_tensor(grid, raw + np.swapaxes(raw, -1, -2))
+    rm = cg.riemann_coordinate_at(m, c, grid.points)
+    hup = grid.Ginv @ h.comp @ grid.Ginv
+    ref = np.einsum("...ipqj,...pq->...ij", rm, hup)
+    got = tc.curvature_action(h).comp
+    away = np.sum(grid.points**2, axis=-1) > 0
+    gap = np.max(np.abs(got - ref)[away], axis=(-2, -1))
+    assert np.all(gap <= 1e-12 * np.max(np.abs(ref[away]), axis=(-2, -1)))
+
+
+def test_chart_grid_owns_its_cache():
+    # the operators read the background geometry and add no keys of their own
+    grid = cg.ChartGrid(m=1, c=4.0, box_half=0.4, spacing=0.05)
+    h = sa.random_bump_tensor(grid, seed=3, width_range=(0.15, 0.2))
+    sa.energy_report(h)
+    sa.linearized_flow(h, t_end=0.002, fit_window=(0.0, 1.0))
+    tc.lichnerowicz(h, ricci_mode="fd")
+    assert set(grid._cache) <= {"points", "G", "Ginv", "sqrt_det", "Gamma", "r_geo"}
+
+
 def test_l2_convention_factor():
     # the pairing carries a global factor 4: <g, g> = 4 n Vol
     grid = grid_m1(0.05, c=1.0)
@@ -348,6 +377,76 @@ def _einsum_ricci(g, ginv, dg, gamma, spacing):
     return tc._symmetrized(acc)
 
 
+def _einsum_ginv_gamma(grid):
+    # M[..., b, l, i] = g^{ab} Gamma^l_{ai}
+    if "ginv_gamma" not in grid._cache:
+        grid._cache["ginv_gamma"] = np.einsum(
+            "...ab,...lai->...bli", grid.Ginv, grid.Gamma
+        )
+    return grid._cache["ginv_gamma"]
+
+
+def _einsum_traced_gamma(grid):
+    # W[..., l] = g^{ab} Gamma^l_{ab}
+    if "traced_gamma" not in grid._cache:
+        grid._cache["traced_gamma"] = np.einsum(
+            "...ab,...lab->...l", grid.Ginv, grid.Gamma
+        )
+    return grid._cache["traced_gamma"]
+
+
+def _einsum_rough_laplacian(field):
+    grid = field.grid
+    n = 2 * grid.m
+    K = tc.covariant_derivative(field).comp  # (..., b, i, j)
+    base = len(grid.shape)
+    acc = np.zeros_like(field.comp)
+    sel = (slice(None),) * base
+    for a in range(n):
+        dK = np.gradient(K, grid.spacing, axis=a)  # d_a K_{bij}
+        acc += np.einsum("...b,...bij->...ij", grid.Ginv[sel + (a,)], dK)
+        del dK
+    acc -= np.einsum("...l,...lij->...ij", _einsum_traced_gamma(grid), K)
+    M = _einsum_ginv_gamma(grid)
+    acc -= np.einsum("...bli,...blj->...ij", M, K)
+    acc -= np.einsum("...blj,...bil->...ij", M, K)
+    return tc._symmetrized(acc)
+
+
+def _einsum_raised(field):
+    # all indices raised with the background inverse metric
+    out = field.comp
+    ginv = field.grid.Ginv
+    letters = "ijk"
+    for slot in range(field.rank):
+        idx = letters[: field.rank]
+        src = idx[:slot] + "x" + idx[slot + 1 :]
+        out = np.einsum(f"...x{idx[slot]},...{src}->...{idx}", ginv, out)
+    return out
+
+
+def _omega_curvature_action(field):
+    # C = -(c/4)[g tr_g(h) - h - 3 Om H^ Om], Om the Kahler form
+    grid = field.grid
+    om = np.einsum("ca,...cb->...ab", cg.j_matrix(grid.m), grid.G)
+    hup = _einsum_raised(field)
+    tr = np.einsum("...ij,...ij->...", grid.Ginv, field.comp)
+    core = (
+        grid.G * tr[..., None, None]
+        - field.comp
+        - 3.0 * np.einsum("...ip,...pq,...qj->...ij", om, hup, om)
+    )
+    out = -(grid.c / 4.0) * core
+    return tc._symmetrized(out)
+
+
+def _einsum_l2_inner(a, b):
+    raised = _einsum_raised(a)
+    axes = tuple(range(-a.rank, 0)) if a.rank else ()
+    dens = np.sum(raised * b.comp, axis=axes) if a.rank else raised * b.comp
+    return 4.0 * a.grid.integrate(dens)
+
+
 def _einsum_deturck_term(grid, g, ginv, gamma):
     tr = np.einsum("...ij,...ij->...", ginv, grid.G)
     gt = grid.G - 0.5 * tr[..., None, None] * g
@@ -412,3 +511,27 @@ def test_deturck_term_matches_einsum_oracle(oracle_case):
     ginv, _, gamma = jet
     got = fe.deturck_term(grid, g, jet)
     assert_matches_oracle(grid, got, _einsum_deturck_term(grid, g, ginv, gamma))
+
+
+def test_rough_laplacian_matches_einsum_oracle(oracle_case):
+    grid, _, _, _, two = oracle_case
+    h = tc.TensorField(grid, two)
+    assert_matches_oracle(grid, tc.rough_laplacian(h).comp, _einsum_rough_laplacian(h))
+
+
+def test_curvature_action_matches_kahler_form_oracle(oracle_case):
+    grid, _, _, _, two = oracle_case
+    h = tc.sym_tensor(grid, tc._symmetrized(two))
+    got = tc.curvature_action(h).comp
+    assert_matches_oracle(grid, got, _omega_curvature_action(h))
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_l2_inner_matches_einsum_oracle(oracle_case, rank):
+    grid = oracle_case[0]
+    rng = np.random.default_rng(40 + rank)
+    shape = grid.shape + (2 * grid.m,) * rank
+    a, b = (tc.TensorField(grid, rng.standard_normal(shape)) for _ in range(2))
+    ref = _einsum_l2_inner(a, b)
+    assert abs(tc.l2_inner(a, b) - ref) <= 1e-12 * abs(ref)
