@@ -18,7 +18,9 @@ Time stepping is the explicit midpoint integrator `sa._integrate`, shared
 with the linearized flow: the parabolic step limit is re-evaluated every
 step, the last step is shortened so the run ends exactly at t_end, and a
 Dirichlet band of boundary cells is pinned to the background after every
-stage, which also hides the one-sided difference rows.
+stage.  The right-hand sides take that `band` and are evaluated only on
+the cells inside it, box `band` of `tensor_calculus`; they are zero on the
+pinned cells.
 """
 
 from __future__ import annotations
@@ -52,9 +54,15 @@ def ricci_of(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
     return tc.ricci_of_metric(g, *tc.metric_jet(g, grid.spacing), grid.spacing)
 
 
-def normalized_ricci_rhs(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
-    """-2 (Rc(g) + lam g) with the background normalization constant."""
-    return -2.0 * (ricci_of(grid, g) + tc._lam(grid) * g)
+def normalized_ricci_rhs(grid: ChartGrid, g: np.ndarray, band: int = 0) -> np.ndarray:
+    """-2 (Rc(g) + lam g) with the background normalization constant, on box
+    `band` and zero outside it."""
+    return _flow_rhs(grid, g, band, gauged=False)
+
+
+def _transport(g: np.ndarray, uinv: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # g_{jk} u^{kl} beta_l on raw arrays
+    return (g @ (uinv @ beta[..., None]))[..., 0]
 
 
 def vector_transport(grid: ChartGrid, g: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -63,31 +71,50 @@ def vector_transport(grid: ChartGrid, g: np.ndarray, beta: np.ndarray) -> np.nda
     Raises the index with the background inverse and lowers it with the
     evolving metric; linear in beta, and the identity at g = g_B.
     """
-    return (g @ (grid.Ginv @ beta[..., None]))[..., 0]
+    return _transport(g, grid.Ginv, beta)
 
 
 def deturck_term(
     grid: ChartGrid,
     g: np.ndarray,
     jet: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    band: int = 0,
 ) -> np.ndarray:
     """Gauge term P(g) of the deturck right-hand side (see module docs).
 
-    jet is `tc.metric_jet(g, grid.spacing)`, built here when not supplied.
-    Vanishes at g = g_B because G(g_B, g_B) is a constant multiple of the
-    background metric, which is parallel.
+    jet is `tc.metric_jet(g, grid.spacing, band)`, built here when not
+    supplied.  G(g, g_B) is formed on box max(band - 2, 0), its covariant
+    derivative and the one-form beta on box max(band - 1, 0), and P on box
+    `band`; it is zero outside.  Vanishes at g = g_B because G(g_B, g_B) is
+    a constant multiple of the background metric, which is parallel.
     """
-    ginv, _, gamma = tc.metric_jet(g, grid.spacing) if jet is None else jet
-    nab = tc._covariant(tc._einstein(grid.G, g, ginv), gamma, grid.spacing)
-    beta = vector_transport(grid, g, tc._divergence(nab, ginv))
-    return -2.0 * tc._symmetrized(tc._covariant(beta, gamma, grid.spacing))
+    base = g.ndim - 2
+    k0, k1 = max(band - 2, 0), max(band - 1, 0)
+    ginv, _, gamma = tc.metric_jet(g, grid.spacing, band) if jet is None else jet
+    outer, mid = tc._box(k0, base), tc._box(k1, base)
+    ein = tc._einstein(grid.G[outer], g[outer], ginv[outer])
+    nab = tc._covariant(ein, gamma[mid], grid.spacing, k1 - k0)
+    beta = _transport(g[mid], grid.Ginv[mid], tc._divergence(nab, ginv[mid]))
+    dstar = tc._covariant(beta, gamma[tc._box(band, base)], grid.spacing, band - k1)
+    return tc._padded(-2.0 * tc._symmetrized(dstar), band, base)
 
 
-def deturck_rhs(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
-    """Gauged flow right-hand side -2 (Rc + lam g) - P(g)."""
-    jet = tc.metric_jet(g, grid.spacing)
-    rc = tc.ricci_of_metric(g, *jet, grid.spacing)
-    return -2.0 * (rc + tc._lam(grid) * g) - deturck_term(grid, g, jet)
+def deturck_rhs(grid: ChartGrid, g: np.ndarray, band: int = 0) -> np.ndarray:
+    """Gauged flow right-hand side -2 (Rc + lam g) - P(g), on box `band` and
+    zero outside it."""
+    return _flow_rhs(grid, g, band, gauged=True)
+
+
+def _flow_rhs(grid: ChartGrid, g: np.ndarray, band: int, gauged: bool) -> np.ndarray:
+    # one metric jet shared by the Ricci and gauge terms
+    jet = tc.metric_jet(g, grid.spacing, band)
+    rc = tc.ricci_of_metric(g, *jet, grid.spacing, band)
+    box = tc._box(band, g.ndim - 2)
+    out = np.zeros_like(g)
+    out[box] = -2.0 * (rc[box] + tc._lam(grid) * g[box])
+    if gauged:
+        out[box] -= deturck_term(grid, g, jet, band)[box]
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,24 +142,30 @@ def fixed_point_residual(
 
     The sup is taken inside the geodesic ball of the given radius (default:
     the largest ball within 2 cells of the boundary, where the compact
-    stencils are clean).
+    stencils are clean).  The terms are computed on the largest box, of at
+    most 2 layers, that holds the ball; a ball that reaches the outermost
+    cell layer raises ValueError.
     """
-    lam = tc._lam(grid)
-    jet = tc.metric_jet(grid.G, grid.spacing)
-    rc = tc.ricci_of_metric(grid.G, *jet, grid.spacing)
-    parts = 2.0 * np.abs(rc) + 2.0 * lam * np.abs(grid.G)
-    if mode == "deturck":
-        p = deturck_term(grid, grid.G, jet)
-        resid = -2.0 * (rc + lam * grid.G) - p
-        parts = parts + np.abs(p)
-    elif mode == "ricci":
-        resid = -2.0 * (rc + lam * grid.G)
-    else:
+    if mode not in ("deturck", "ricci"):
         raise ValueError(f"unknown mode {mode!r}")
     if radius is None:
         reach = grid.box_half - 2 * grid.spacing
         radius = (2.0 / math.sqrt(grid.c)) * math.atanh(min(reach, 0.99))
     mask = grid.geodesic_ball_mask(radius)
+    band = 2
+    while band and np.any(mask & ~grid.interior_mask(band)):
+        band -= 1
+    if not band:
+        raise ValueError(f"radius {radius} reaches the outermost cell layer")
+    lam = tc._lam(grid)
+    jet = tc.metric_jet(grid.G, grid.spacing, band)
+    rc = tc.ricci_of_metric(grid.G, *jet, grid.spacing, band)
+    parts = 2.0 * np.abs(rc) + 2.0 * lam * np.abs(grid.G)
+    resid = -2.0 * (rc + lam * grid.G)
+    if mode == "deturck":
+        p = deturck_term(grid, grid.G, jet, band)
+        resid = resid - p
+        parts = parts + np.abs(p)
     raw = float(np.max(np.abs(resid[mask])))
     scale = float(np.max(parts[mask]))
     return FixedPointReport(
@@ -199,9 +232,12 @@ def evolve(
     in the Ricci symbol makes the stiffest (Nyquist, conformal-direction)
     mode a factor (2n-2)/n larger than the scalar estimate sup tr(g^{-1})
     suggests, so cfl must stay below n/(4n-4), or ValueError is raised;
-    the default 0.2 keeps a margin for every n.  Every step is checked for
-    non-finite values, and every record for a positive metric
-    (RuntimeError).  The trace records the deviation from the background
+    the default 0.2 keeps a margin for every n.  The outermost `band`
+    cell layers are pinned to the background after every stage, and the
+    right-hand side is computed only inside them; band must be at least 1
+    (ValueError), since the Ricci tensor is not computed on the outermost
+    layer.  Every step is checked for non-finite values, and every record
+    for a positive metric (RuntimeError).  The trace records the deviation from the background
     in L^2 and in the exponentially weighted sup norm sup e^{tau r}
     |g - g_B| (the grid restriction of the weighted norms in
     holder_interpolation).  The decay rate is fitted, in the norm named by
@@ -224,6 +260,8 @@ def evolve(
     cfl_max = _cfl_bound(grid.m)
     if not cfl < cfl_max:
         raise ValueError(f"cfl must be below {cfl_max} for m = {grid.m}")
+    if band < 1:
+        raise ValueError("band must be at least 1")
     outside = ~grid.interior_mask(band)[..., None, None]
     weight = np.exp(tau * grid.r_geo)
     l2_dev, sup_dev, eig_trace = [], [], []
@@ -238,7 +276,7 @@ def evolve(
             raise RuntimeError(f"metric lost positivity at t = {t:.4f}")
 
     times, dt_first = sa._integrate(
-        lambda gcur: rhs(grid, gcur), g0, t_end,
+        lambda gcur: rhs(grid, gcur, band), g0, t_end,
         lambda gcur: sa.stable_timestep(np.linalg.inv(gcur), grid.spacing, cfl),
         lambda gcur: np.copyto(gcur, grid.G, where=outside), record_every, observe,
     )

@@ -333,7 +333,8 @@ def linearized_flow(
     The step is `stable_timestep` on the background (the last one shorter
     to land on t_end); cfl must stay below the midpoint step's limit of 2,
     or ValueError is raised.  The boundary band of `band` cells is pinned
-    to zero after every stage; the L^2 norm is recorded every
+    to zero after every stage, and A h is computed only inside it, on box
+    `band` of `tensor_calculus`; the L^2 norm is recorded every
     `record_every` steps and at t_end, and the decay rate is fitted on the
     window where the norm lies between the given fractions of its initial
     value (above any floor, below the transient).
@@ -345,7 +346,7 @@ def linearized_flow(
     outside = ~grid.interior_mask(band)[..., None, None]
     norms = []
     times, dt = _integrate(
-        lambda arr: tc.stability_operator(tc.TensorField(grid, arr, 0)).comp,
+        lambda arr: tc.stability_operator(tc.TensorField(grid, arr, 0), band).comp,
         h0.comp, t_end, lambda arr: step,
         lambda arr: np.copyto(arr, 0.0, where=outside), record_every,
         lambda t, arr: norms.append(tc.l2_norm_sq(tc.TensorField(grid, arr, 0))),
@@ -372,13 +373,13 @@ def linearization_consistency(
     from . import flow_engine as fe
 
     grid = h.grid
-    ah = tc.stability_operator(h).comp
-    mask = grid.interior_mask(3)
+    ah = tc.stability_operator(h, 2).comp
+    mask = grid.interior_mask(3)  # inside box 2, the box the terms are computed on
     scale = float(np.max(np.abs(ah[mask]))) or 1.0  # h = 0 gives raw gaps
-    base = fe.deturck_rhs(grid, grid.G)
+    base = fe.deturck_rhs(grid, grid.G, 2)
 
     def gap(s: float) -> float:
-        q = fe.deturck_rhs(grid, grid.G + s * h.comp)
+        q = fe.deturck_rhs(grid, grid.G + s * h.comp, 2)
         return float(np.max(np.abs(((q - base) / s - ah)[mask]))) / scale
 
     gaps = [gap(s) for s in s_values]

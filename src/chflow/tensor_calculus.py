@@ -11,6 +11,14 @@ boundary; everything else carries the usual O(spacing^2) error.
 zero.  Differentiation shrinks the margin by one; integral identities that
 rely on vanishing boundary terms should keep it positive.
 
+Box k is the set of cells at least k layers from every grid face.  The flow
+right-hand sides and the stability operator take a `band` b: the caller
+keeps only box b, so each stencil stage is evaluated only on the box the
+next stage reads (a first difference reads one layer further out), and the
+result is grid-shaped and zero outside box b.  First differences are
+central on slices, with np.gradient's one-sided rows only where a box
+touches a grid face, so a band of 0 or 1 gives the full-grid values there.
+
 L^2 pairings carry a fixed overall factor of 4.  The factor is a convention
 tied to the frame normalization g(0) = (4/c) Id at c = 4 and is applied
 uniformly to all ranks, so Rayleigh quotients, operator identities, and
@@ -47,7 +55,6 @@ __all__ = [
     "l2_norm_sq",
     "metric_jet",
     "ricci_of_metric",
-    "background_fd_ricci",
 ]
 
 
@@ -96,26 +103,71 @@ def _lam(grid: ChartGrid) -> float:
     return float(einstein_constants(grid.m, 1)[0]) * grid.c
 
 
-def _partials(arr: np.ndarray, base: int, spacing: float) -> np.ndarray:
-    # central differences along the `base` leading grid axes, new index
-    # first: out[..., a, I] = d_a arr[..., I]
-    out = np.empty(arr.shape[:base] + (base,) + arr.shape[base:])
-    sel = (slice(None),) * base
-    for a in range(base):
-        out[sel + (a,)] = np.gradient(arr, spacing, axis=a)
+def _box(k: int, base: int) -> tuple:
+    # index of box k over the `base` leading grid axes
+    return (slice(k, -k or None),) * base
+
+
+def _padded(core: np.ndarray, k: int, base: int) -> np.ndarray:
+    # an array on box k, returned grid-shaped with zeros outside the box
+    if not k:
+        return core
+    shape = tuple(s + 2 * k for s in core.shape[:base]) + core.shape[base:]
+    out = np.zeros(shape)
+    out[_box(k, base)] = core
     return out
 
 
-def _covariant(arr: np.ndarray, gamma: np.ndarray, spacing: float) -> np.ndarray:
+def _diff(arr: np.ndarray, a: int, base: int, spacing: float, shrink: int) -> np.ndarray:
+    # d_a of arr over its `base` leading grid axes, on the box `shrink` cells
+    # inside arr's, by central differences of slices.  With shrink 0 the two
+    # face rows along a are one-sided (np.gradient's values), which is only
+    # right where arr reaches the grid faces
+    n = arr.shape[a]
+    rest = [slice(shrink, s - shrink) for s in arr.shape[:base]]
+
+    def along(sl):  # arr at sl along axis a, on the output box elsewhere
+        return arr[tuple(rest[:a] + [sl] + rest[a + 1 :])]
+
+    if shrink:
+        lo, hi = slice(shrink - 1, n - shrink - 1), slice(shrink + 1, n - shrink + 1)
+        return (along(hi) - along(lo)) / (2.0 * spacing)
+    out = np.empty_like(arr)
+    lead = (slice(None),) * a
+    out[lead + (slice(1, -1),)] = (along(slice(2, None)) - along(slice(None, -2))) / (
+        2.0 * spacing
+    )
+    out[lead + (0,)] = (along(1) - along(0)) / spacing
+    out[lead + (-1,)] = (along(-1) - along(-2)) / spacing
+    return out
+
+
+def _partials(arr: np.ndarray, base: int, spacing: float, shrink: int = 0) -> np.ndarray:
+    # first differences along the `base` leading grid axes, new index
+    # first: out[..., a, I] = d_a arr[..., I], on the box `shrink` cells
+    # inside arr's (see `_diff`)
+    inner = tuple(s - 2 * shrink for s in arr.shape[:base])
+    out = np.empty(inner + (base,) + arr.shape[base:])
+    sel = (slice(None),) * base
+    for a in range(base):
+        out[sel + (a,)] = _diff(arr, a, base, spacing, shrink)
+    return out
+
+
+def _covariant(
+    arr: np.ndarray, gamma: np.ndarray, spacing: float, shrink: int = 0
+) -> np.ndarray:
     # nabla of a covariant tensor of rank <= 2 with supplied Christoffels
     # gamma[..., l, a, i]; derivative index first, not symmetrized.  The
+    # result, and gamma, lie on the box `shrink` cells inside arr's.  The
     # connection terms sum_l Gamma^l_{ai} arr_{l...} are products with
     # Gamma read as an (n, n^2) matrix per point
     base = gamma.ndim - 3
     rank = arr.ndim - base
     if rank > 2:
         raise NotImplementedError("covariant derivative only up to rank 2")
-    out = _partials(arr, base, spacing)
+    out = _partials(arr, base, spacing, shrink)
+    arr = arr[_box(shrink, base)]
     n = gamma.shape[-1]
     flat = gamma.reshape(gamma.shape[:-3] + (n, n * n))
     if rank == 1:
@@ -144,31 +196,39 @@ def covariant_derivative(field: TensorField) -> TensorField:
     return TensorField(grid, out, max(field.support_margin - 1, 0))
 
 
-def rough_laplacian(field: TensorField) -> TensorField:
+def rough_laplacian(field: TensorField, band: int = 0) -> TensorField:
     """Connection Laplacian g^{ab} (nabla^2 h)_{ab ...} on a (0,2)-tensor.
 
     From the covariant derivative K, symmetric in (i, j), as g^{ab} d_a K_bij
     - W^l K_lij - X - X^T with W^l = g^{ab} Gamma^l_ab and X_ij = g^{ab}
     Gamma^l_ai K_blj: batched matmuls on `grid.Ginv` and `grid.Gamma`, and
-    no rank-4 intermediate.
+    no rank-4 intermediate.  K is computed on box max(band - 1, 0) and the
+    result on box `band`; it is zero outside (see module docs).
     """
     if field.rank != 2:
         raise NotImplementedError("rough laplacian implemented for rank 2")
     grid = field.grid
-    n, gs = 2 * grid.m, grid.shape
-    K = covariant_derivative(field).comp  # (..., b, i, j)
-    kflat = K.reshape(gs + (n, n * n))
+    n, base = 2 * grid.m, len(grid.shape)
+    k1 = max(band - 1, 0)
+    K = _symmetrized(_covariant(field.comp, grid.Gamma[_box(k1, base)], grid.spacing, k1))
+    shrink = band - k1
+    box = _box(band, base)
+    ginv, gamma = grid.Ginv[box], grid.Gamma[box]
+    gs = ginv.shape[:-2]
+    kflat = K.reshape(K.shape[:base] + (n, n * n))
     acc = np.zeros(gs + (1, n * n))
     for a in range(n):
-        acc += grid.Ginv[..., a : a + 1, :] @ np.gradient(kflat, grid.spacing, axis=a)
-    w = grid.Gamma.reshape(gs + (n, n * n)) @ grid.Ginv.reshape(gs + (n * n, 1))
+        acc += ginv[..., a : a + 1, :] @ _diff(kflat, a, base, grid.spacing, shrink)
+    K, kflat = K[_box(shrink, base)], kflat[_box(shrink, base)]
+    w = gamma.reshape(gs + (n, n * n)) @ ginv.reshape(gs + (n * n, 1))
     acc -= np.swapaxes(w, -1, -2) @ kflat
     # Y[..., l, a, j] = g^{ab} K_blj; X contracts Gamma with Y over (l, a)
-    y = grid.Ginv[..., None, :, :] @ np.swapaxes(K, -3, -2)
-    gflat = grid.Gamma.reshape(gs + (n * n, n))
+    y = ginv[..., None, :, :] @ np.swapaxes(K, -3, -2)
+    gflat = gamma.reshape(gs + (n * n, n))
     x = np.swapaxes(gflat, -1, -2) @ y.reshape(gflat.shape)
-    acc = acc.reshape(field.comp.shape) - (x + np.swapaxes(x, -1, -2))
-    return TensorField(grid, _symmetrized(acc), max(field.support_margin - 2, 0))
+    acc = acc.reshape(gs + (n, n)) - (x + np.swapaxes(x, -1, -2))
+    out = _padded(_symmetrized(acc), band, base)
+    return TensorField(grid, out, max(field.support_margin - 2, band))
 
 
 def trace_field(field: TensorField) -> TensorField:
@@ -211,18 +271,23 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
     if ricci_mode == "exact":
         out += 2.0 * _lam(grid) * field.comp
     elif ricci_mode == "fd":
-        mixed = background_fd_ricci(grid) @ grid.Ginv @ field.comp
+        from . import flow_engine as fe
+
+        mixed = fe.ricci_of(grid, grid.G) @ grid.Ginv @ field.comp
         out -= mixed + np.swapaxes(mixed, -1, -2)
     else:
         raise ValueError(f"unknown ricci_mode {ricci_mode!r}")
     return TensorField(grid, _symmetrized(out), max(field.support_margin - 2, 0))
 
 
-def stability_operator(field: TensorField) -> TensorField:
-    """A h = Delta_L h - 2 lam h = Delta h + 2 R(h, .) on this background."""
+def stability_operator(field: TensorField, band: int = 0) -> TensorField:
+    """A h = Delta_L h - 2 lam h = Delta h + 2 R(h, .) on this background,
+    on box `band` and zero outside it (see module docs)."""
     grid = field.grid
-    out = rough_laplacian(field).comp + 2.0 * curvature_action(field).comp
-    return TensorField(grid, out, max(field.support_margin - 2, 0))
+    out = rough_laplacian(field, band).comp
+    box = _box(band, len(grid.shape))
+    out[box] += 2.0 * curvature_action(field).comp[box]
+    return TensorField(grid, out, max(field.support_margin - 2, band))
 
 
 def _einstein(u: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -306,42 +371,57 @@ def l2_norm_sq(a: TensorField) -> float:
 # ---------------------------------------------------------------------------
 # raw-array helpers shared with the nonlinear flow
 
-def metric_jet(g: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def metric_jet(
+    g: np.ndarray, spacing: float, band: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g^{-1}, dg, Gamma) of an arbitrary grid metric, by central differences.
 
     g has shape grid.shape + (n, n); dg[..., a, i, j] = d_a g_{ij} and
     Gamma[..., l, a, i] = Gamma^l_{ai} match the layout of the analytic
     background cache.  The inverse is symmetrized.  Built once per
-    right-hand side and read by `ricci_of_metric` and the gauge term.
+    right-hand side and read by `ricci_of_metric` and the gauge term, for a
+    result on box `band`: the inverse on box max(band - 2, 0), dg and Gamma
+    on box max(band - 1, 0), each grid-shaped and zero outside its box.
     """
-    ginv = _symmetrized(np.linalg.inv(g))
-    dg = _partials(g, g.ndim - 2, spacing)
-    return ginv, dg, christoffels_from_partials(ginv, dg)
+    base = g.ndim - 2
+    k0, k1 = max(band - 2, 0), max(band - 1, 0)
+    ginv = _symmetrized(np.linalg.inv(g[_box(k0, base)]))
+    dg = _partials(g, base, spacing, k1)
+    gamma = _padded(christoffels_from_partials(ginv[_box(k1 - k0, base)], dg), k1, base)
+    return _padded(ginv, k0, base), _padded(dg, k1, base), gamma
 
 
 def _second_diff(arr: np.ndarray, p: int, q: int, spacing: float) -> np.ndarray:
-    # compact centered second difference d_p d_q along grid axes p, q; the
-    # outermost cell layer along each differentiated axis wraps around and
-    # is meaningless (callers keep a boundary band of >= 2 cells)
+    # compact centered second difference d_p d_q along grid axes p, q, on
+    # the box one cell inside arr's: sums of shifted slices of arr
+    base = arr.ndim - 2
+
+    def at(dp: int, dq: int) -> np.ndarray:
+        shift = [0] * base
+        shift[p] += dp
+        shift[q] += dq
+        return arr[tuple(slice(1 + d, n - 1 + d) for d, n in zip(shift, arr.shape))]
+
     if p == q:
-        return (np.roll(arr, -1, axis=p) - 2.0 * arr + np.roll(arr, 1, axis=p)) / spacing**2
-    return (
-        np.roll(arr, (-1, -1), axis=(p, q))
-        - np.roll(arr, (-1, 1), axis=(p, q))
-        - np.roll(arr, (1, -1), axis=(p, q))
-        + np.roll(arr, (1, 1), axis=(p, q))
-    ) / (4.0 * spacing**2)
+        return (at(1, 0) - 2.0 * at(0, 0) + at(-1, 0)) / spacing**2
+    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * spacing**2)
 
 
 def ricci_of_metric(
-    g: np.ndarray, ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, spacing: float
+    g: np.ndarray,
+    ginv: np.ndarray,
+    dg: np.ndarray,
+    gamma: np.ndarray,
+    spacing: float,
+    band: int = 0,
 ) -> np.ndarray:
     """Ricci tensor of an arbitrary grid metric, by compact differences.
 
-    ginv, dg, gamma are the `metric_jet` of g; the result is symmetrized.
-    The second derivatives of g enter through compact centered stencils
-    instead of nested first differences of the Christoffels, which shrinks
-    the truncation constant by about a factor four.  The expansion used is
+    ginv, dg, gamma are the `metric_jet` of g for the same band; the result
+    is symmetrized, on box max(band, 1) and zero outside it.  The second
+    derivatives of g enter through compact centered stencils instead of
+    nested first differences of the Christoffels, which shrinks the
+    truncation constant by about a factor four.  The expansion used is
 
         Rc_ij = (1/2) g^{lk} (d_l d_i g_kj + d_l d_j g_ki
                               - d_l d_k g_ij - d_i d_j g_kl)
@@ -353,22 +433,26 @@ def ricci_of_metric(
     d_i g^{-1} = -X_i g^{-1}: so (d_l g^{lk}) g_kp = -(X_l)^l_p is a diagonal
     of X and -(1/2) (d_i g^{lk}) (d_j g_kl) = (1/2) tr(X_i X_j).  The
     contractions are batched matmuls over the trailing component axes.  The
-    outermost cell layer is wrap-contaminated; keep a band of at least two
-    cells.
+    outermost cell layer, where the compact stencils have no neighbour, is
+    not computed.
     """
     n = g.shape[-1]
     base = g.ndim - 2
     sel = (slice(None),) * base
+    k = max(band, 1)
+    box = _box(k, base)
+    ginv, dg, gamma = ginv[box], dg[box], gamma[box]
+    outer = g[_box(k - 1, base)]  # what the compact stencils read
     x = ginv[sel + (None,)] @ dg  # X[..., i] = g^{-1} d_i g
     gflat = gamma.reshape(gamma.shape[:-3] + (n, n * n))
 
     # (d_l g^{lk}) g_kp Gamma^p_ij + Gamma^l_{lp} Gamma^p_ij as one product
     coef = np.einsum("...llp->...p", gamma) - np.einsum("...llp->...p", x)
-    acc = (coef[..., None, :] @ gflat).reshape(g.shape)
+    acc = (coef[..., None, :] @ gflat).reshape(ginv.shape)
     # tr(X_i X_j) = sum_a X[:, a, :] @ X[:, :, a]^T, and likewise
     # Gamma^l_{ip} Gamma^p_{lj} = sum_l Gamma[l] @ Gamma[:, l]; X[:, :, a]
     # has no unit stride, so it is copied to keep the product on BLAS
-    tr_xx = np.zeros_like(g)
+    tr_xx = np.zeros(ginv.shape)
     for a in range(n):
         tr_xx += x[sel + (slice(None), a)] @ np.swapaxes(x[..., a], -1, -2).copy()
         acc -= gamma[sel + (a,)] @ gamma[sel + (slice(None), a)]
@@ -376,12 +460,12 @@ def ricci_of_metric(
     acc += 0.5 * tr_xx
 
     # second-derivative terms, one compact d_p d_q block at a time
-    mixed = np.zeros_like(g)  # M_ij = g^{lk} d_l d_i g_kj
-    lap = np.zeros_like(g)  # g^{lk} d_l d_k g_ij
-    hess_tr = np.zeros_like(g)  # (d_i d_j g_kl) g^{lk}
+    mixed = np.zeros(ginv.shape)  # M_ij = g^{lk} d_l d_i g_kj
+    lap = np.zeros(ginv.shape)  # g^{lk} d_l d_k g_ij
+    hess_tr = np.zeros(ginv.shape)  # (d_i d_j g_kl) g^{lk}
     for p in range(n):
         for q in range(p, n):
-            d2 = _second_diff(g, p, q, spacing)
+            d2 = _second_diff(outer, p, q, spacing)
             # one product gives rows p and q of M and the trace for hess_tr
             prod = ginv @ d2
             mixed[sel + (q,)] += prod[sel + (p,)]
@@ -393,9 +477,4 @@ def ricci_of_metric(
                 mixed[sel + (p,)] += prod[sel + (q,)]
                 hess_tr[sel + (q, p)] = tr
     acc += 0.5 * (mixed + np.swapaxes(mixed, -1, -2) - lap - hess_tr)
-    return _symmetrized(acc)
-
-
-def background_fd_ricci(grid: ChartGrid) -> np.ndarray:
-    """Finite-difference Ricci tensor of the background metric."""
-    return ricci_of_metric(grid.G, *metric_jet(grid.G, grid.spacing), grid.spacing)
+    return _padded(_symmetrized(acc), k, base)

@@ -146,6 +146,12 @@ class TestFixedPointResidual:
         with pytest.raises(ValueError):
             fe.fixed_point_residual(grid_m1, mode="gauged")
 
+    def test_ball_reaching_the_outermost_layer_rejected(self, grid_m1):
+        # atanh(0.4) = 0.424 is the geodesic distance to the face centres
+        assert np.any(grid_m1.geodesic_ball_mask(0.45) & ~grid_m1.interior_mask(1))
+        with pytest.raises(ValueError, match="reaches the outermost cell layer"):
+            fe.fixed_point_residual(grid_m1, radius=0.45)
+
 
 class TestSharedJet:
     """The entry points that share one metric jet agree with the standalone
@@ -164,16 +170,19 @@ class TestSharedJet:
         assert gap <= 1e-12 * np.max(np.abs(pieces[mask]))
 
     def test_fixed_point_residual_matches_pieces(self, grid_m2):
-        lam = float(einstein_constants(2, 1)[0]) * grid_m2.c
-        gb = grid_m2.G
-        rc = fe.ricci_of(grid_m2, gb)
-        p = fe.deturck_term(grid_m2, gb)
-        resid = -2.0 * (rc + lam * gb) - p
-        parts = 2.0 * np.abs(rc) + 2.0 * lam * np.abs(gb) + np.abs(p)
-        rep = fe.fixed_point_residual(grid_m2)
-        mask = grid_m2.geodesic_ball_mask(rep.radius)
-        assert rep.raw == pytest.approx(np.max(np.abs(resid[mask])), rel=1e-12)
-        assert rep.term_scale == pytest.approx(np.max(parts[mask]), rel=1e-12)
+        # the default ball lies in box 2; radius 0.35 on 9^4 reaches layer 1
+        coarse = ChartGrid(m=2, c=4.0, box_half=0.4, spacing=0.1)
+        for grid, radius in ((grid_m2, None), (coarse, 0.35)):
+            lam = float(einstein_constants(2, 1)[0]) * grid.c
+            gb = grid.G
+            rc = fe.ricci_of(grid, gb)
+            p = fe.deturck_term(grid, gb)
+            resid = -2.0 * (rc + lam * gb) - p
+            parts = 2.0 * np.abs(rc) + 2.0 * lam * np.abs(gb) + np.abs(p)
+            rep = fe.fixed_point_residual(grid, radius)
+            mask = grid.geodesic_ball_mask(rep.radius)
+            assert rep.raw == pytest.approx(np.max(np.abs(resid[mask])), rel=1e-12)
+            assert rep.term_scale == pytest.approx(np.max(parts[mask]), rel=1e-12)
 
 
 class TestEllipticityPencil:
@@ -263,6 +272,11 @@ class TestEvolve:
         with pytest.raises(ValueError):
             fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.01, fit_norm="l1")
 
+    def test_band_zero_rejected(self, grid_m1):
+        # the Ricci tensor is not computed on the outermost layer
+        with pytest.raises(ValueError, match="band must be at least 1"):
+            fe.evolve(grid_m1, grid_m1.G.copy(), t_end=0.01, band=0, fit_window=None)
+
     def test_cfl_at_or_above_symbol_bound_rejected(self, grid_m1):
         # n = 2 at m = 1: the bound n/(4n-4) is 1/2
         for cfl in (0.5, 0.7):
@@ -279,7 +293,7 @@ class TestEvolve:
             fe.evolve(grid_m1, g0, t_end=0.01, fit_window=None)
 
     def test_nan_produced_by_a_step_rejected(self, grid_m1, monkeypatch):
-        def nan_rhs(grid, g):
+        def nan_rhs(grid, g, band):
             out = np.zeros_like(g)
             out[tuple(s // 2 for s in grid.shape)] = np.nan
             return out
@@ -307,3 +321,32 @@ class TestLinearizationConsistency:
         rep = sa.linearization_consistency(zero)
         assert rep["gaps"] == (0.0, 0.0, 0.0)
         assert math.isnan(rep["excess_order"])
+
+
+class TestMutationPoints:
+    """The functions a benchmark self-check replaces are the ones the flows
+    call: replacing them must change the flows' outputs."""
+
+    def test_dropped_gauge_term_changes_the_evolve_trace(self, grid_m1, bump, monkeypatch):
+        def run():
+            return fe.evolve(
+                grid_m1, grid_m1.G + bump.comp, t_end=0.005, record_every=5,
+                fit_window=None,
+            ).l2_dev
+
+        ref = run()
+        monkeypatch.setattr(fe, "deturck_term", lambda grid, g, *a, **k: np.zeros_like(g))
+        # measured 0.73 of the initial deviation
+        assert np.max(np.abs(run() - ref)) > 0.1 * ref[0]
+
+    def test_zeroed_curvature_action_changes_the_linear_rate(self, grid_m1, monkeypatch):
+        h0 = sa.random_bump_tensor(grid_m1, seed=3)
+        ref = sa.linearized_flow(h0, t_end=0.12).rate
+        orig = tc.curvature_action
+
+        def zeroed(field):
+            return tc.TensorField(field.grid, 0.0 * orig(field).comp, field.support_margin)
+
+        monkeypatch.setattr(tc, "curvature_action", zeroed)
+        # measured 29.2 -> 34.9
+        assert abs(sa.linearized_flow(h0, t_end=0.12).rate - ref) > 0.05 * ref

@@ -227,7 +227,7 @@ def test_background_fd_ricci_is_einstein():
     for s in SPACINGS:
         grid = grid_m1(s, c=2.0)
         lam = float(fa.einstein_constants(1, 1)[0]) * 2.0
-        rc = tc.background_fd_ricci(grid)
+        rc = fe.ricci_of(grid, grid.G)
         errs.append(region_sup(grid, rc + lam * grid.G) / np.max(np.abs(grid.G)))
     assert errs[-1] < 1e-3
     assert last_pair_order(SPACINGS, errs) > 1.9
@@ -341,6 +341,20 @@ def _einsum_covariant(arr, gamma, spacing):
     return out
 
 
+def _roll_second_diff(arr, p, q, spacing):
+    # compact centered second difference d_p d_q along grid axes p, q; the
+    # outermost cell layer along each differentiated axis wraps around and
+    # is meaningless (callers keep a boundary band of >= 2 cells)
+    if p == q:
+        return (np.roll(arr, -1, axis=p) - 2.0 * arr + np.roll(arr, 1, axis=p)) / spacing**2
+    return (
+        np.roll(arr, (-1, -1), axis=(p, q))
+        - np.roll(arr, (-1, 1), axis=(p, q))
+        - np.roll(arr, (1, -1), axis=(p, q))
+        + np.roll(arr, (1, 1), axis=(p, q))
+    ) / (4.0 * spacing**2)
+
+
 def _einsum_ricci(g, ginv, dg, gamma, spacing):
     n = g.shape[-1]
     base = g.ndim - 2
@@ -363,7 +377,7 @@ def _einsum_ricci(g, ginv, dg, gamma, spacing):
     hess_tr = np.zeros_like(g)  # (d_i d_j g_kl) g^{lk}
     for p in range(n):
         for q in range(p, n):
-            d2 = tc._second_diff(g, p, q, spacing)
+            d2 = _roll_second_diff(g, p, q, spacing)
             mixed[sel + (q,)] += np.einsum("...k,...kj->...j", ginv[sel + (p,)], d2)
             if p != q:
                 mixed[sel + (p,)] += np.einsum("...k,...kj->...j", ginv[sel + (q,)], d2)
@@ -535,3 +549,36 @@ def test_l2_inner_matches_einsum_oracle(oracle_case, rank):
     a, b = (tc.TensorField(grid, rng.standard_normal(shape)) for _ in range(2))
     ref = _einsum_l2_inner(a, b)
     assert abs(tc.l2_inner(a, b) - ref) <= 1e-12 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# bands: a right-hand side computed on box b equals the full-grid one there
+
+
+@pytest.mark.parametrize("band", [1, 2])
+def test_flow_rhs_on_a_box_matches_the_full_grid(oracle_case, band):
+    grid, g, _, _, _ = oracle_case
+    inside = grid.interior_mask(band)
+    for rhs in (fe.deturck_rhs, fe.normalized_ricci_rhs):
+        full, boxed = rhs(grid, g), rhs(grid, g, band)
+        assert np.array_equal(boxed[inside], full[inside])
+        assert not np.any(boxed[~inside])
+
+
+def test_ricci_skips_the_outermost_layer(oracle_case):
+    grid, g, jet, _, _ = oracle_case
+    rc = tc.ricci_of_metric(g, *jet, grid.spacing)
+    assert not np.any(rc[~grid.interior_mask(1)])
+    assert np.all(np.any(rc[grid.interior_mask(1)] != 0, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("band", [0, 1, 2])
+def test_stability_operator_on_a_box_matches_the_full_grid(oracle_case, band):
+    grid, _, _, _, two = oracle_case
+    h = tc.sym_tensor(grid, tc._symmetrized(two))
+    full = tc.rough_laplacian(h).comp + 2.0 * tc.curvature_action(h).comp
+    boxed = tc.stability_operator(h, band)
+    inside = grid.interior_mask(band)
+    assert np.array_equal(boxed.comp[inside], full[inside])
+    assert not np.any(boxed.comp[~inside])
+    assert boxed.support_margin >= band
