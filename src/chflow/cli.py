@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -424,13 +423,6 @@ def _write_manifest(outdir: Path, command: str, params: dict,
     _write_json(outdir / "manifest.json", doc)
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))  # order-preserving
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # built-in test fields
 
@@ -497,9 +489,7 @@ def _run_geometry_check(v: dict, outdir: Path):
         "m": v["m"], "c": float(v["c"]), "spacings": list(spacings),
         "max_error": max(rep.errors[1]), "min_order": min(rep.orders),
     }))
-    echo = _echo(v)
-    echo["spacings"] = list(spacings)
-    return echo, files
+    return _echo({**v, "spacings": list(spacings)}), files
 
 
 def _stability_grid(v: dict) -> ChartGrid:
@@ -510,8 +500,8 @@ def _stability_grid(v: dict) -> ChartGrid:
 def _energy_reports(v: dict) -> tuple[list[int], list[sa.EnergyReport]]:
     grid = _stability_grid(v)
     seeds = [v["seed"] + i for i in range(v["samples"])]
-    reps = _map_jobs(lambda s: sa.energy_report(sa.random_bump_tensor(grid, s)),
-                     seeds, v["jobs"])
+    reps = hi._map_jobs(lambda s: sa.energy_report(sa.random_bump_tensor(grid, s)),
+                        seeds, v["jobs"])
     return seeds, reps
 
 
@@ -585,8 +575,7 @@ def _run_flow(v: dict, outdir: Path):
     cfl_max = fe._cfl_bound(v["m"])
     if not v["cfl"] < cfl_max:
         raise CliError("cfl", f"must be below {cfl_max} for m = {v['m']}")
-    grid = ChartGrid(m=v["m"], c=float(v["c"]), box_half=v["box_half"],
-                     spacing=v["spacing"])
+    grid = _stability_grid(v)
     g0 = perturbed_metric(grid, v["amp"], v["seed"], v["tau"])
     trace = fe.evolve(
         grid, g0, t_end=v["t_end"], cfl=v["cfl"],
@@ -663,9 +652,7 @@ def _run_norms_kfun(v: dict, outdir: Path):
         "endpoint_product": product,
         "ratio": tn / product if product > 0 else 0.0,
     }))
-    echo = _echo(v)
-    echo["per_annulus"] = pa
-    return echo, files
+    return _echo({**v, "per_annulus": pa}), files
 
 
 def _run_norms_interp(v: dict, outdir: Path):
@@ -679,7 +666,7 @@ def _run_norms_interp(v: dict, outdir: Path):
             per_annulus=pa, seed=v["seed"],
         )
 
-    results = _map_jobs(one, v["scales"], v["jobs"])
+    results = hi._map_jobs(one, v["scales"], v["jobs"])
     rows = [
         [s, r["theta_norm"], r["norm_x"], r["norm_y"], r["product"],
          r["ratio"], r["reiteration_ratio"]]
@@ -695,9 +682,7 @@ def _run_norms_interp(v: dict, outdir: Path):
         "max_ratio": max(r["ratio"] for r in results),
         "target_order": results[0]["target_order"],
     }))
-    echo = _echo(v)
-    echo["per_annulus"] = pa
-    return echo, files
+    return _echo({**v, "per_annulus": pa}), files
 
 
 def _run_norms_resolvent(v: dict, outdir: Path):
@@ -733,9 +718,7 @@ def _run_norms_resolvent(v: dict, outdir: Path):
         ),
         "field": {"kind": "exp_decay_scalar", "rate": rate},
     }))
-    echo = _echo(v)
-    echo["per_annulus"] = pa
-    return echo, files
+    return _echo({**v, "per_annulus": pa}), files
 
 
 _RUNNERS: dict[tuple[str, str | None], Callable[[dict, Path], tuple]] = {

@@ -83,19 +83,20 @@ def deturck_term(
     """Gauge term P(g) of the deturck right-hand side (see module docs).
 
     jet is `tc.metric_jet(g, grid.spacing, band)`, built here when not
-    supplied.  G(g, g_B) is formed on box max(band - 2, 0), its covariant
-    derivative and the one-form beta on box max(band - 1, 0), and P on box
-    `band`; it is zero outside.  Vanishes at g = g_B because G(g_B, g_B) is
-    a constant multiple of the background metric, which is parallel.
+    supplied.  With (k0, k1) = `tc._stages(band)`, G(g, g_B) is formed on
+    box k0, its covariant derivative and the one-form beta on box k1, and P
+    on box `band`; it is zero outside.  Vanishes at g = g_B because G(g_B,
+    g_B) is a constant multiple of the background metric, which is parallel.
     """
     base = g.ndim - 2
-    k0, k1 = max(band - 2, 0), max(band - 1, 0)
+    k0, k1 = tc._stages(band)
     ginv, _, gamma = tc.metric_jet(g, grid.spacing, band) if jet is None else jet
     outer, mid = tc._box(k0, base), tc._box(k1, base)
-    ein = tc._einstein(grid.G[outer], g[outer], ginv[outer])
-    nab = tc._covariant(ein, gamma[mid], grid.spacing, k1 - k0)
-    beta = _transport(g[mid], grid.Ginv[mid], tc._divergence(nab, ginv[mid]))
-    dstar = tc._covariant(beta, gamma[tc._box(band, base)], grid.spacing, band - k1)
+    ein = tc._einstein(grid.G[outer], g[outer], ginv)
+    nab = tc._covariant(ein, gamma, grid.spacing, k1 - k0)
+    div = tc._divergence(nab, ginv[tc._box(k1 - k0, base)])
+    beta = _transport(g[mid], grid.Ginv[mid], div)
+    dstar = tc._covariant(beta, gamma[tc._box(band - k1, base)], grid.spacing, band - k1)
     return tc._padded(-2.0 * tc._symmetrized(dstar), band, base)
 
 
@@ -106,12 +107,11 @@ def deturck_rhs(grid: ChartGrid, g: np.ndarray, band: int = 0) -> np.ndarray:
 
 
 def _flow_rhs(grid: ChartGrid, g: np.ndarray, band: int, gauged: bool) -> np.ndarray:
-    # one metric jet shared by the Ricci and gauge terms
+    # one metric jet for the Ricci and gauge terms; Ricci's array is the output
     jet = tc.metric_jet(g, grid.spacing, band)
-    rc = tc.ricci_of_metric(g, *jet, grid.spacing, band)
+    out = tc.ricci_of_metric(g, *jet, grid.spacing, band)
     box = tc._box(band, g.ndim - 2)
-    out = np.zeros_like(g)
-    out[box] = -2.0 * (rc[box] + tc._lam(grid) * g[box])
+    out[box] = -2.0 * (out[box] + tc._lam(grid) * g[box])
     if gauged:
         out[box] -= deturck_term(grid, g, jet, band)[box]
     return out

@@ -115,18 +115,11 @@ class AnnuliDecomposition:
 
 def _derivative_stack(h: tc.TensorField, k: int) -> list[np.ndarray]:
     """Coordinate-derivative levels 0..k, trailing axes flattened."""
-    if k not in (0, 1, 2):
-        raise ValueError("derivative order k must be 0, 1, or 2")
-    grid = h.grid
-    base = h.comp.reshape(grid.shape + (-1,))
-    levels = [base]
-    cur = base
-    for _ in range(k):
-        cur = np.stack(
-            [np.gradient(cur, grid.spacing, axis=a) for a in range(2 * grid.m)],
-            axis=-1,
-        ).reshape(grid.shape + (-1,))
-        levels.append(cur)
+    grid, n = h.grid, 2 * h.grid.m
+    levels = [h.comp.reshape(grid.shape + (-1,))]
+    for _ in range(k):  # the shared first difference per axis, new axis last
+        diffs = [tc._diff(levels[-1], a, n, grid.spacing, 0) for a in range(n)]
+        levels.append(np.stack(diffs, axis=-1).reshape(grid.shape + (-1,)))
     return levels
 
 
@@ -227,6 +220,13 @@ def _tail_bound(
     return amp * math.exp(rate) * geom * math.exp(n_start * (tau - rate))
 
 
+def _map_jobs(fn, items, jobs: int) -> list:
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            return list(ex.map(fn, items))  # order-preserving
+    return [fn(x) for x in items]
+
+
 @dataclass(frozen=True)
 class WeightedNormReport:
     """Per-annulus weighted sums, their sup, and the certified tail."""
@@ -303,11 +303,7 @@ def weighted_norm(
         return s, hol
 
     indices = range(1, annuli.n_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one_annulus, indices))
-    else:
-        rows = [one_annulus(n) for n in indices]
+    rows = _map_jobs(one_annulus, indices, jobs)
     sums = [s for s, _ in rows]
     hols = [hol for _, hol in rows]
     weighted = [math.exp(n * tau) * (s + hol) for n, (s, hol) in zip(indices, rows)]
@@ -407,8 +403,8 @@ def sobolev_embedding_check(
         1.0 - math.exp(-2 * xi)
     )
     nab = tc.covariant_derivative(h)
-    h2 = tc._pairing(h, h)
-    nh2 = tc._pairing(nab, nab)
+    h2 = tc._pairing(h.comp, h.comp, grid.Ginv)
+    nh2 = tc._pairing(nab.comp, nab.comp, grid.Ginv)
     inside = grid.r_geo <= annuli.coverage_radius
     integral = grid.integrate((h2 + nh2) * inside)
     tail = 0.0

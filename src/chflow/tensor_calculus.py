@@ -11,13 +11,18 @@ boundary; everything else carries the usual O(spacing^2) error.
 zero.  Differentiation shrinks the margin by one; integral identities that
 rely on vanishing boundary terms should keep it positive.
 
-Box k is the set of cells at least k layers from every grid face.  The flow
-right-hand sides and the stability operator take a `band` b: the caller
-keeps only box b, so each stencil stage is evaluated only on the box the
-next stage reads (a first difference reads one layer further out), and the
-result is grid-shaped and zero outside box b.  First differences are
-central on slices, with np.gradient's one-sided rows only where a box
-touches a grid face, so a band of 0 or 1 gives the full-grid values there.
+Each concept has one private kernel, shared by the linear path and the
+nonlinear flow, that takes raw arrays: the components, the metric arrays
+it reads (laid out as in the `ChartGrid` cache or `metric_jet`), the
+spacing and, for a stencil, a `shrink`.  Box k is the cells at least k
+layers from every grid face.  A stencil's result lies on the box `shrink`
+cells inside its input's, each metric array on the outermost box where it
+is read; first differences are one-sided (np.gradient's values) only at
+shrink 0, on the input's faces.  The public `TensorField` functions are
+shells that pass grid.G, grid.Ginv and grid.Gamma and pad their result
+once to grid shape.  A `band` b keeps box b: each stencil stage of the
+flow right-hand sides and the stability operator runs only on the box the
+next reads (`_stages`); a band of 0 or 1 gives the full-grid values.
 
 L^2 pairings carry a fixed overall factor of 4.  The factor is a convention
 tied to the frame normalization g(0) = (4/c) Id at c = 4 and is applied
@@ -108,21 +113,24 @@ def _box(k: int, base: int) -> tuple:
     return (slice(k, -k or None),) * base
 
 
+def _stages(band: int) -> tuple[int, int]:
+    # boxes (k0, k1) of the two stencil stages before a result on box `band`
+    return max(band - 2, 0), max(band - 1, 0)
+
+
 def _padded(core: np.ndarray, k: int, base: int) -> np.ndarray:
     # an array on box k, returned grid-shaped with zeros outside the box
     if not k:
         return core
     shape = tuple(s + 2 * k for s in core.shape[:base]) + core.shape[base:]
-    out = np.zeros(shape)
+    out = np.zeros(shape, core.dtype)
     out[_box(k, base)] = core
     return out
 
 
 def _diff(arr: np.ndarray, a: int, base: int, spacing: float, shrink: int) -> np.ndarray:
     # d_a of arr over its `base` leading grid axes, on the box `shrink` cells
-    # inside arr's, by central differences of slices.  With shrink 0 the two
-    # face rows along a are one-sided (np.gradient's values), which is only
-    # right where arr reaches the grid faces
+    # inside arr's, by central differences of slices (see module docs)
     n = arr.shape[a]
     rest = [slice(shrink, s - shrink) for s in arr.shape[:base]]
 
@@ -147,7 +155,7 @@ def _partials(arr: np.ndarray, base: int, spacing: float, shrink: int = 0) -> np
     # first: out[..., a, I] = d_a arr[..., I], on the box `shrink` cells
     # inside arr's (see `_diff`)
     inner = tuple(s - 2 * shrink for s in arr.shape[:base])
-    out = np.empty(inner + (base,) + arr.shape[base:])
+    out = np.empty(inner + (base,) + arr.shape[base:], arr.dtype)
     sel = (slice(None),) * base
     for a in range(base):
         out[sel + (a,)] = _diff(arr, a, base, spacing, shrink)
@@ -157,9 +165,8 @@ def _partials(arr: np.ndarray, base: int, spacing: float, shrink: int = 0) -> np
 def _covariant(
     arr: np.ndarray, gamma: np.ndarray, spacing: float, shrink: int = 0
 ) -> np.ndarray:
-    # nabla of a covariant tensor of rank <= 2 with supplied Christoffels
-    # gamma[..., l, a, i]; derivative index first, not symmetrized.  The
-    # result, and gamma, lie on the box `shrink` cells inside arr's.  The
+    # nabla of a covariant tensor of rank <= 2, derivative index first, not
+    # symmetrized, with gamma[..., l, a, i] on the result box.  The
     # connection terms sum_l Gamma^l_{ai} arr_{l...} are products with
     # Gamma read as an (n, n^2) matrix per point
     base = gamma.ndim - 3
@@ -178,6 +185,73 @@ def _covariant(
         # Gamma^l_{aj} arr_{il}: the same product on arr^T, read transposed
         out -= np.swapaxes((gt @ np.swapaxes(arr, -1, -2)).reshape(out.shape), -1, -2)
     return out
+
+
+def _rough_laplacian(
+    h: np.ndarray, ginv: np.ndarray, gamma: np.ndarray, spacing: float, shrink: int = 0
+) -> np.ndarray:
+    # Delta h on the box `shrink` cells inside h's (see `rough_laplacian`),
+    # with ginv on that box and gamma on the box of K = nabla h
+    base, n = ginv.ndim - 2, ginv.shape[-1]
+    k1 = _stages(shrink)[1]
+    K = _symmetrized(_covariant(h, gamma, spacing, k1))
+    inner = _box(shrink - k1, base)
+    gamma, gs = gamma[inner], ginv.shape[:-2]
+    kflat = K.reshape(K.shape[:base] + (n, n * n))
+    acc = np.zeros(gs + (1, n * n), K.dtype)
+    for a in range(n):
+        acc += ginv[..., a : a + 1, :] @ _diff(kflat, a, base, spacing, shrink - k1)
+    K, kflat = K[inner], kflat[inner]
+    w = gamma.reshape(gs + (n, n * n)) @ ginv.reshape(gs + (n * n, 1))
+    acc -= np.swapaxes(w, -1, -2) @ kflat
+    # Y[..., l, a, j] = g^{ab} K_blj; X contracts Gamma with Y over (l, a)
+    y = ginv[..., None, :, :] @ np.swapaxes(K, -3, -2)
+    gflat = gamma.reshape(gs + (n * n, n))
+    x = np.swapaxes(gflat, -1, -2) @ y.reshape(gflat.shape)
+    return _symmetrized(acc.reshape(gs + (n, n)) - (x + np.swapaxes(x, -1, -2)))
+
+
+def _trace(u: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # tr_g u = g^{ij} u_ij
+    return np.einsum("...ij,...ij->...", ginv, u)
+
+
+def _einstein(u: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # G(g, u) = u - (1/2) tr_g(u) g
+    return u - 0.5 * _trace(u, ginv)[..., None, None] * g
+
+
+def _curvature_action(
+    h: np.ndarray, g: np.ndarray, ginv: np.ndarray, c: float
+) -> np.ndarray:
+    # C = -(c/4)[g tr_g(h) - h - 3 J h J] (see `curvature_action`)
+    J = j_matrix(h.shape[-1] // 2)
+    return -(c / 4.0) * (g * _trace(h, ginv)[..., None, None] - h - 3.0 * (J @ h @ J))
+
+
+def _divergence(nab: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # -g^{ai} nab_{aij} for nab[..., a, i, j] = (nabla_a h)_{ij}, as one
+    # (1, n^2) @ (n^2, n) product per point
+    n = ginv.shape[-1]
+    rows = ginv.reshape(ginv.shape[:-2] + (1, n * n))
+    return -(rows @ nab.reshape(ginv.shape[:-2] + (n * n, n)))[..., 0, :]
+
+
+def _three_tensor(nab: np.ndarray) -> np.ndarray:
+    # T_ijk = (nabla_k h)_ij - (nabla_i h)_jk: nab read with axes (i, j, k)
+    return np.moveaxis(nab, -3, -1) - nab
+
+
+def _pairing(a: np.ndarray, b: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # pointwise <a, b>_g of two arrays of one rank: each round raises the
+    # leading slot of a with ginv and rotates it to the back, so `rank`
+    # rounds restore the slot order
+    rank = a.ndim - ginv.ndim + 2
+    raised = a
+    for _ in range(rank):
+        raised = ginv @ raised.reshape(ginv.shape[:-1] + (-1,))
+        raised = np.moveaxis(raised.reshape(a.shape), -rank, -1)
+    return np.sum(raised * b, axis=tuple(range(-rank, 0)))
 
 
 def partial_derivative(field: TensorField) -> TensorField:
@@ -201,33 +275,16 @@ def rough_laplacian(field: TensorField, band: int = 0) -> TensorField:
 
     From the covariant derivative K, symmetric in (i, j), as g^{ab} d_a K_bij
     - W^l K_lij - X - X^T with W^l = g^{ab} Gamma^l_ab and X_ij = g^{ab}
-    Gamma^l_ai K_blj: batched matmuls on `grid.Ginv` and `grid.Gamma`, and
-    no rank-4 intermediate.  K is computed on box max(band - 1, 0) and the
-    result on box `band`; it is zero outside (see module docs).
+    Gamma^l_ai K_blj: batched matmuls, and no rank-4 intermediate.  The
+    result is on box `band` and zero outside it (see module docs).
     """
     if field.rank != 2:
         raise NotImplementedError("rough laplacian implemented for rank 2")
     grid = field.grid
-    n, base = 2 * grid.m, len(grid.shape)
-    k1 = max(band - 1, 0)
-    K = _symmetrized(_covariant(field.comp, grid.Gamma[_box(k1, base)], grid.spacing, k1))
-    shrink = band - k1
-    box = _box(band, base)
-    ginv, gamma = grid.Ginv[box], grid.Gamma[box]
-    gs = ginv.shape[:-2]
-    kflat = K.reshape(K.shape[:base] + (n, n * n))
-    acc = np.zeros(gs + (1, n * n))
-    for a in range(n):
-        acc += ginv[..., a : a + 1, :] @ _diff(kflat, a, base, grid.spacing, shrink)
-    K, kflat = K[_box(shrink, base)], kflat[_box(shrink, base)]
-    w = gamma.reshape(gs + (n, n * n)) @ ginv.reshape(gs + (n * n, 1))
-    acc -= np.swapaxes(w, -1, -2) @ kflat
-    # Y[..., l, a, j] = g^{ab} K_blj; X contracts Gamma with Y over (l, a)
-    y = ginv[..., None, :, :] @ np.swapaxes(K, -3, -2)
-    gflat = gamma.reshape(gs + (n * n, n))
-    x = np.swapaxes(gflat, -1, -2) @ y.reshape(gflat.shape)
-    acc = acc.reshape(gs + (n, n)) - (x + np.swapaxes(x, -1, -2))
-    out = _padded(_symmetrized(acc), band, base)
+    base = len(grid.shape)
+    ginv, gamma = grid.Ginv[_box(band, base)], grid.Gamma[_box(_stages(band)[1], base)]
+    out = _rough_laplacian(field.comp, ginv, gamma, grid.spacing, band)
+    out = _padded(out, band, base)
     return TensorField(grid, out, max(field.support_margin - 2, band))
 
 
@@ -235,7 +292,7 @@ def trace_field(field: TensorField) -> TensorField:
     """Metric trace g^{ij} h_{ij} of a (0,2)-tensor."""
     if field.rank != 2:
         raise ValueError("trace_field expects rank 2")
-    tr = np.einsum("...ij,...ij->...", field.grid.Ginv, field.comp)
+    tr = _trace(field.comp, field.grid.Ginv)
     return TensorField(field.grid, tr, field.support_margin)
 
 
@@ -252,10 +309,8 @@ def curvature_action(field: TensorField) -> TensorField:
     grid = field.grid
     if field.rank != 2:
         raise ValueError("curvature_action expects rank 2")
-    J = j_matrix(grid.m)
-    tr = trace_field(field).comp[..., None, None]
-    core = grid.G * tr - field.comp - 3.0 * (J @ field.comp @ J)
-    return TensorField(grid, -(grid.c / 4.0) * core, field.support_margin)
+    out = _curvature_action(field.comp, grid.G, grid.Ginv, grid.c)
+    return TensorField(grid, out, field.support_margin)
 
 
 def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
@@ -271,9 +326,8 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
     if ricci_mode == "exact":
         out += 2.0 * _lam(grid) * field.comp
     elif ricci_mode == "fd":
-        from . import flow_engine as fe
-
-        mixed = fe.ricci_of(grid, grid.G) @ grid.Ginv @ field.comp
+        rc = ricci_of_metric(grid.G, *metric_jet(grid.G, grid.spacing), grid.spacing)
+        mixed = rc @ grid.Ginv @ field.comp
         out -= mixed + np.swapaxes(mixed, -1, -2)
     else:
         raise ValueError(f"unknown ricci_mode {ricci_mode!r}")
@@ -288,20 +342,6 @@ def stability_operator(field: TensorField, band: int = 0) -> TensorField:
     box = _box(band, len(grid.shape))
     out[box] += 2.0 * curvature_action(field).comp[box]
     return TensorField(grid, out, max(field.support_margin - 2, band))
-
-
-def _einstein(u: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    # G(g, u) = u - (1/2) tr_g(u) g, on raw arrays
-    tr = np.einsum("...ij,...ij->...", ginv, u)
-    return u - 0.5 * tr[..., None, None] * g
-
-
-def _divergence(nab: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    # -g^{ai} nab_{aij} for nab[..., a, i, j] = (nabla_a h)_{ij}, as one
-    # (1, n^2) @ (n^2, n) product per point
-    n = ginv.shape[-1]
-    rows = ginv.reshape(ginv.shape[:-2] + (1, n * n))
-    return -(rows @ nab.reshape(ginv.shape[:-2] + (n * n, n)))[..., 0, :]
 
 
 def divergence(field: TensorField) -> TensorField:
@@ -340,20 +380,8 @@ def three_tensor_T(field: TensorField) -> TensorField:
     Antisymmetric in (i, k) exactly, including in floating point, because the
     two terms are the same stored array read with permuted axes.
     """
-    K = covariant_derivative(field).comp  # (..., a, i, j)
-    # reading K with axes (i, j, k) directly gives (nabla_i h)_{jk}
-    t = np.moveaxis(K, -3, -1) - K
+    t = _three_tensor(covariant_derivative(field).comp)
     return TensorField(field.grid, t, max(field.support_margin - 1, 0))
-
-
-def _pairing(a: TensorField, b: TensorField) -> np.ndarray:
-    # pointwise <a, b>_g: each round raises the leading slot of a with Ginv
-    # and rotates it to the back, so `rank` rounds restore the slot order
-    raised = a.comp
-    for _ in range(a.rank):
-        raised = a.grid.Ginv @ raised.reshape(a.grid.shape + (2 * a.grid.m, -1))
-        raised = np.moveaxis(raised.reshape(a.comp.shape), -a.rank, -1)
-    return np.sum(raised * b.comp, axis=tuple(range(-a.rank, 0)))
 
 
 def l2_inner(a: TensorField, b: TensorField) -> float:
@@ -361,15 +389,12 @@ def l2_inner(a: TensorField, b: TensorField) -> float:
     each slot of a is raised by one batched matmul on `grid.Ginv`."""
     if a.grid is not b.grid or a.rank != b.rank:
         raise ValueError("fields must share a grid and rank")
-    return 4.0 * a.grid.integrate(_pairing(a, b))
+    return 4.0 * a.grid.integrate(_pairing(a.comp, b.comp, a.grid.Ginv))
 
 
 def l2_norm_sq(a: TensorField) -> float:
     return l2_inner(a, a)
 
-
-# ---------------------------------------------------------------------------
-# raw-array helpers shared with the nonlinear flow
 
 def metric_jet(
     g: np.ndarray, spacing: float, band: int = 0
@@ -380,15 +405,14 @@ def metric_jet(
     Gamma[..., l, a, i] = Gamma^l_{ai} match the layout of the analytic
     background cache.  The inverse is symmetrized.  Built once per
     right-hand side and read by `ricci_of_metric` and the gauge term, for a
-    result on box `band`: the inverse on box max(band - 2, 0), dg and Gamma
-    on box max(band - 1, 0), each grid-shaped and zero outside its box.
+    result on box `band`: with (k0, k1) = `_stages(band)`, the inverse lies
+    on box k0 and dg and Gamma on box k1, unpadded.
     """
     base = g.ndim - 2
-    k0, k1 = max(band - 2, 0), max(band - 1, 0)
+    k0, k1 = _stages(band)
     ginv = _symmetrized(np.linalg.inv(g[_box(k0, base)]))
     dg = _partials(g, base, spacing, k1)
-    gamma = _padded(christoffels_from_partials(ginv[_box(k1 - k0, base)], dg), k1, base)
-    return _padded(ginv, k0, base), _padded(dg, k1, base), gamma
+    return ginv, dg, christoffels_from_partials(ginv[_box(k1 - k0, base)], dg)
 
 
 def _second_diff(arr: np.ndarray, p: int, q: int, spacing: float) -> np.ndarray:
@@ -432,16 +456,15 @@ def ricci_of_metric(
     derivative of the inverse enters only through X_i = g^{-1} d_i g, since
     d_i g^{-1} = -X_i g^{-1}: so (d_l g^{lk}) g_kp = -(X_l)^l_p is a diagonal
     of X and -(1/2) (d_i g^{lk}) (d_j g_kl) = (1/2) tr(X_i X_j).  The
-    contractions are batched matmuls over the trailing component axes.  The
-    outermost cell layer, where the compact stencils have no neighbour, is
-    not computed.
+    contractions are batched matmuls over the trailing component axes.
     """
     n = g.shape[-1]
     base = g.ndim - 2
     sel = (slice(None),) * base
     k = max(band, 1)
-    box = _box(k, base)
-    ginv, dg, gamma = ginv[box], dg[box], gamma[box]
+    k0, k1 = _stages(band)
+    ginv = ginv[_box(k - k0, base)]
+    dg, gamma = dg[_box(k - k1, base)], gamma[_box(k - k1, base)]
     outer = g[_box(k - 1, base)]  # what the compact stencils read
     x = ginv[sel + (None,)] @ dg  # X[..., i] = g^{-1} d_i g
     gflat = gamma.reshape(gamma.shape[:-3] + (n, n * n))
@@ -452,7 +475,7 @@ def ricci_of_metric(
     # tr(X_i X_j) = sum_a X[:, a, :] @ X[:, :, a]^T, and likewise
     # Gamma^l_{ip} Gamma^p_{lj} = sum_l Gamma[l] @ Gamma[:, l]; X[:, :, a]
     # has no unit stride, so it is copied to keep the product on BLAS
-    tr_xx = np.zeros(ginv.shape)
+    tr_xx = np.zeros(ginv.shape, ginv.dtype)
     for a in range(n):
         tr_xx += x[sel + (slice(None), a)] @ np.swapaxes(x[..., a], -1, -2).copy()
         acc -= gamma[sel + (a,)] @ gamma[sel + (slice(None), a)]
@@ -460,9 +483,9 @@ def ricci_of_metric(
     acc += 0.5 * tr_xx
 
     # second-derivative terms, one compact d_p d_q block at a time
-    mixed = np.zeros(ginv.shape)  # M_ij = g^{lk} d_l d_i g_kj
-    lap = np.zeros(ginv.shape)  # g^{lk} d_l d_k g_ij
-    hess_tr = np.zeros(ginv.shape)  # (d_i d_j g_kl) g^{lk}
+    mixed = np.zeros(ginv.shape, ginv.dtype)  # M_ij = g^{lk} d_l d_i g_kj
+    lap = np.zeros(ginv.shape, ginv.dtype)  # g^{lk} d_l d_k g_ij
+    hess_tr = np.zeros(ginv.shape, ginv.dtype)  # (d_i d_j g_kl) g^{lk}
     for p in range(n):
         for q in range(p, n):
             d2 = _second_diff(outer, p, q, spacing)

@@ -177,6 +177,19 @@ class TestWeightedNorm:
             hi.weighted_norm(h, 3, 0.5, 1.0)
 
 
+def test_derivative_stack_is_np_gradient_stacked(grid):
+    # the levels are the shared first-difference kernel's; the stacked layout
+    # and values are those of np.gradient per axis, new axis last
+    rng = np.random.default_rng(3)
+    h = tc.TensorField(grid, rng.standard_normal(grid.shape + (2, 2)))
+    want = [h.comp.reshape(grid.shape + (-1,))]
+    for _ in range(2):
+        axes = [np.gradient(want[-1], grid.spacing, axis=a) for a in range(2 * grid.m)]
+        want.append(np.stack(axes, axis=-1).reshape(grid.shape + (-1,)))
+    for got, ref in zip(hi._derivative_stack(h, 2), want, strict=True):
+        assert np.array_equal(got, ref)
+
+
 class TestLittleModulus:
     def test_monotone_in_t(self, grid):
         h = bump_field(grid, 1.5)

@@ -92,6 +92,21 @@ class TestEnergyReport:
         rep = sa.energy_report(h)
         assert rep.quad_form == quad
 
+    def test_terms_equal_the_public_functions(self, grid_m1):
+        # energy_report takes |nabla h|^2, T and delta h from one covariant
+        # derivative; each term is the same float as from the public pieces
+        h = sa.random_bump_tensor(grid_m1, seed=6)
+        rep = sa.energy_report(h)
+        lam = float(einstein_constants(1, 1)[0]) * grid_m1.c
+        norm_sq = tc.l2_norm_sq(h)
+        assert rep.norm_sq == norm_sq
+        assert rep.grad_sq == tc.l2_norm_sq(tc.covariant_derivative(h))
+        assert rep.half_t_sq == 0.5 * tc.l2_norm_sq(tc.three_tensor_T(h))
+        assert rep.div_sq == tc.l2_norm_sq(tc.divergence(h))
+        assert rep.lam_norm_sq == lam * norm_sq
+        assert rep.curvature_term == tc.l2_inner(tc.curvature_action(h), h)
+        assert rep.quad_form == tc.l2_inner(tc.stability_operator(h), h)
+
     def test_rayleigh_bound_m1(self, grid_m1):
         # m = 1 is the sharpness regime: bound is exactly 0
         rep = sa.energy_report(sa.random_bump_tensor(grid_m1, seed=7))

@@ -552,17 +552,51 @@ def test_l2_inner_matches_einsum_oracle(oracle_case, rank):
 
 
 # ---------------------------------------------------------------------------
-# bands: a right-hand side computed on box b equals the full-grid one there
+# bands: a right-hand side computed on box b equals the full-grid one there,
+# and a kernel fed inputs sliced to box k (as a slab would be) equals the
+# full-grid call bit for bit on the box its stencil leaves
+
+
+def slab_reaches(grid, k, reach):
+    # whether the box a stencil of this reach leaves inside box k has cells
+    return grid.n_axis > 2 * (k + reach)
+
+
+def on_box(arr, grid, j):
+    # arr, over grid's axes or those of a box of it, on box j of those
+    return arr[tc._box(j, len(grid.shape))]
+
+
+def sliced_grid(grid, k):
+    # the chart grid of box k, whose background caches are the sliced ones
+    sub = cg.ChartGrid(grid.m, grid.c, grid.box_half - k * grid.spacing, grid.spacing)
+    for key in ("G", "Ginv"):
+        assert np.array_equal(getattr(sub, key), on_box(getattr(grid, key), grid, k))
+    return sub
 
 
 @pytest.mark.parametrize("band", [1, 2])
 def test_flow_rhs_on_a_box_matches_the_full_grid(oracle_case, band):
-    grid, g, _, _, _ = oracle_case
+    grid, g, jet, _, _ = oracle_case
     inside = grid.interior_mask(band)
     for rhs in (fe.deturck_rhs, fe.normalized_ricci_rhs):
         full, boxed = rhs(grid, g), rhs(grid, g, band)
         assert np.array_equal(boxed[inside], full[inside])
         assert not np.any(boxed[~inside])
+
+    k = band
+    if slab_reaches(grid, k, 1):
+        gk = on_box(g, grid, k)
+        jet_k = tc.metric_jet(gk, grid.spacing)
+        for part, part_k in zip(jet, jet_k):
+            assert np.array_equal(on_box(part_k, grid, 1), on_box(part, grid, k + 1))
+        rc = tc.ricci_of_metric(g, *jet, grid.spacing)
+        rc_k = tc.ricci_of_metric(gk, *jet_k, grid.spacing)
+        assert np.array_equal(on_box(rc_k, grid, 1), on_box(rc, grid, k + 1))
+    if slab_reaches(grid, k, 2):
+        p = fe.deturck_term(grid, g, jet)
+        p_k = fe.deturck_term(sliced_grid(grid, k), gk, jet_k)
+        assert np.array_equal(on_box(p_k, grid, 2), on_box(p, grid, k + 2))
 
 
 def test_ricci_skips_the_outermost_layer(oracle_case):
@@ -574,7 +608,7 @@ def test_ricci_skips_the_outermost_layer(oracle_case):
 
 @pytest.mark.parametrize("band", [0, 1, 2])
 def test_stability_operator_on_a_box_matches_the_full_grid(oracle_case, band):
-    grid, _, _, _, two = oracle_case
+    grid, _, _, one, two = oracle_case
     h = tc.sym_tensor(grid, tc._symmetrized(two))
     full = tc.rough_laplacian(h).comp + 2.0 * tc.curvature_action(h).comp
     boxed = tc.stability_operator(h, band)
@@ -582,3 +616,15 @@ def test_stability_operator_on_a_box_matches_the_full_grid(oracle_case, band):
     assert np.array_equal(boxed.comp[inside], full[inside])
     assert not np.any(boxed.comp[~inside])
     assert boxed.support_margin >= band
+
+    k, s = band, grid.spacing
+    ginv, gamma = on_box(grid.Ginv, grid, k), on_box(grid.Gamma, grid, k)
+    if slab_reaches(grid, k, 1):
+        for arr in (one, two):
+            got = tc._covariant(on_box(arr, grid, k), gamma, s)
+            full = tc._covariant(arr, grid.Gamma, s)
+            assert np.array_equal(on_box(got, grid, 1), on_box(full, grid, k + 1))
+    if slab_reaches(grid, k, 2):
+        got = tc._rough_laplacian(on_box(two, grid, k), ginv, gamma, s)
+        full = tc.rough_laplacian(tc.TensorField(grid, two)).comp
+        assert np.array_equal(on_box(got, grid, 2), on_box(full, grid, k + 2))
