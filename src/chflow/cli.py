@@ -641,7 +641,7 @@ def _run_norms_kfun(v: dict, outdir: Path):
     files = [_write_table(outdir, "kfun", ["t", "k_upper", "decomposition"],
                           rows, v["format"])]
     theta = v["theta"]
-    tn = max(k / t**theta for t, k in zip(curve.ts, curve.k_upper))
+    tn = hi._theta_norm(curve, theta)
     product = curve.norm_x ** (1 - theta) * curve.norm_y**theta
     files.append(_write_json(outdir / "summary.json", {
         "norm_x": curve.norm_x,
@@ -686,6 +686,8 @@ def _run_norms_interp(v: dict, outdir: Path):
 
 
 def _run_norms_resolvent(v: dict, outdir: Path):
+    if not v["direction"] < 2 * v["m"]:
+        raise CliError("direction", f"must be below {2 * v['m']} for m = {v['m']}")
     grid, annuli = _norms_setup(v)
     pa = v["per_annulus"] if v["per_annulus"] is not None else 12
     rate = v["rate"]

@@ -17,9 +17,11 @@ where d_x is the geodesic distance to the annulus boundary capped at 2 and
 d_xy = min(d_x, d_y).  Coordinate (not covariant) derivatives enter the
 seminorms; covariant derivatives appear only in the Sobolev quadrature.
 
-Sampling realities, stated once and relied on throughout: sups are taken
-over grid points, Holder and pair quantities over seeded anchor subsets
-(lower-bound surrogates of the true sups), annuli beyond the grid are
+Sampling realities, stated once and relied on throughout: one evaluator,
+`_annulus_parts`, takes the sups on two point sets, the grid points with
+Holder pairs from seeded anchors plus lagged grid neighbors (`weighted_norm`)
+and an anchor set with all ordered anchor pairs (the K-functional), so both
+are lower-bound surrogates of the true sups; annuli beyond the grid are
 covered by a certified tail bound from a caller-declared decay envelope,
 and K(t, h) is an upper bound (the infimum over all decompositions is not
 computable; we minimize over the identity decomposition and one mollifier
@@ -142,14 +144,11 @@ def _pair_arrays(
     """Candidate pair index lists on annulus n: all anchor-anchor pairs plus
     lagged grid neighbors of each anchor (these resolve separations down to
     one grid step, which the anchor cloud alone cannot)."""
-    grid = annuli.grid
     idx = _anchor_indices(annuli, n, n_anchors, seed)
-    if idx.size == 0:
-        return idx, idx
     ii, jj = np.triu_indices(idx.size, k=1)
     pairs_i, pairs_j = [idx[ii]], [idx[jj]]
     mask_flat = annuli.mask(n).ravel()
-    shape = grid.shape
+    shape = annuli.grid.shape
     coords = np.array(np.unravel_index(idx, shape)).T
     for lag in _NEIGHBOR_LAGS:
         for a in range(len(shape)):
@@ -165,32 +164,64 @@ def _pair_arrays(
     return np.concatenate(pairs_i), np.concatenate(pairs_j)
 
 
-def _holder_part(
+def _annulus_parts(
+    c: float,
+    points: np.ndarray,
+    d_x: np.ndarray,
+    levels: list[np.ndarray],
+    sel: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray] | None,
+    alpha: float | None,
+    cap: float = PAIR_CAP,
+) -> tuple[float, float]:
+    """(sum_{q<=k} sup d_x^q |d^q h|, Holder quotient sup) on one annulus.
+
+    Row p of points (P, 2m), d_x (P,) and levels[q] (P, L_q) is one sample
+    point: its coordinates, capped boundary distance and order-q derivatives
+    (q = 0..k, `_derivative_stack` layout).  sel indexes the annulus's points
+    and pairs = (i, j) the pairs of its quotient, of which those at distance
+    0 or beyond cap are skipped; the quotient is 0 when alpha is None.
+    """
+    k = len(levels) - 1
+    s = sum(  # sups over empty sets of these nonnegative terms are 0
+        float(np.max(d_x[sel] ** q * np.max(np.abs(lv[sel]), axis=-1), initial=0.0))
+        for q, lv in enumerate(levels)
+    )
+    if alpha is None or pairs[0].size == 0:
+        return s, 0.0
+    i, j = pairs
+    dist = distance(c, points[i], points[j])
+    ok = (dist > 0) & (dist <= cap)
+    i, j, dist = i[ok], j[ok], dist[ok]
+    d_pair = np.minimum(d_x[i], d_x[j])
+    gap = np.max(np.abs(levels[k][i] - levels[k][j]), axis=-1)
+    quot = d_pair ** (k + alpha) * gap / dist**alpha
+    return s, float(np.max(quot, initial=0.0))
+
+
+def _grid_rows(
+    h: tc.TensorField,
     annuli: AnnuliDecomposition,
-    level: np.ndarray,
-    n: int,
     k: int,
-    alpha: float,
-    d_cap: float,
+    alpha: float | None,
+    cap: float,
     n_anchors: int,
     seed: int,
-) -> float:
-    """Seeded-pair Holder quotient sup on annulus n (lower-bound surrogate)."""
+    jobs: int,
+) -> list[tuple[float, float]]:
+    """`_annulus_parts` of annuli 1..n_max on the grid points, with the
+    seeded anchor-plus-lag pairs, threaded over annuli."""
     grid = annuli.grid
-    i_idx, j_idx = _pair_arrays(annuli, n, n_anchors, seed)
-    if i_idx.size == 0:
-        return 0.0
     pts = grid.points.reshape(-1, 2 * grid.m)
-    dist = distance(grid.c, pts[i_idx], pts[j_idx])
-    dxf = annuli.boundary_distance(n).ravel()
-    d_pair = np.minimum(dxf[i_idx], dxf[j_idx])
-    lv = level.reshape(-1, level.shape[-1])
-    gap = np.max(np.abs(lv[i_idx] - lv[j_idx]), axis=-1)
-    ok = (dist > 0) & (dist <= d_cap)
-    if not np.any(ok):
-        return 0.0
-    quot = d_pair[ok] ** (k + alpha) * gap[ok] / dist[ok] ** alpha
-    return float(np.max(quot))
+    levels = [lv.reshape(len(pts), -1) for lv in _derivative_stack(h, k)]
+
+    def one_annulus(n: int) -> tuple[float, float]:
+        d_x = annuli.boundary_distance(n).ravel()
+        sel = np.flatnonzero(annuli.mask(n))
+        pairs = _pair_arrays(annuli, n, n_anchors, seed) if alpha is not None else None
+        return _annulus_parts(grid.c, pts, d_x, levels, sel, pairs, alpha, cap)
+
+    return _map_jobs(one_annulus, range(1, annuli.n_max + 1), jobs)
 
 
 def _validate(annuli: AnnuliDecomposition, k: int, alpha: float | None, tau: float):
@@ -286,27 +317,9 @@ def weighted_norm(
     if annuli is None:
         annuli = AnnuliDecomposition(h.grid)
     _validate(annuli, k, alpha, tau)
-    levels = _derivative_stack(h, k)
-    mags = [np.max(np.abs(lv), axis=-1) for lv in levels]
-
-    def one_annulus(n: int) -> tuple[float, float]:
-        mask = annuli.mask(n)
-        dx = annuli.boundary_distance(n)
-        s = 0.0
-        if np.any(mask):
-            s = sum(float(np.max((dx**q * mags[q])[mask])) for q in range(k + 1))
-        hol = (
-            _holder_part(annuli, levels[k], n, k, alpha, PAIR_CAP, n_anchors, seed)
-            if alpha is not None
-            else 0.0
-        )
-        return s, hol
-
-    indices = range(1, annuli.n_max + 1)
-    rows = _map_jobs(one_annulus, indices, jobs)
-    sums = [s for s, _ in rows]
-    hols = [hol for _, hol in rows]
-    weighted = [math.exp(n * tau) * (s + hol) for n, (s, hol) in zip(indices, rows)]
+    rows = _grid_rows(h, annuli, k, alpha, PAIR_CAP, n_anchors, seed, jobs)
+    sums, hols = zip(*rows)
+    weighted = [math.exp(n * tau) * (s + hol) for n, (s, hol) in enumerate(rows, 1)]
     tail = _tail_bound(envelope, k, tau, annuli.n_max + 1)
     total = max(weighted)
     if not math.isnan(tail):
@@ -346,14 +359,8 @@ def little_modulus(
     _validate(annuli, k, alpha, tau)
     if t <= 0:
         raise ValueError("t must be positive")
-    level = _derivative_stack(h, k)[k]
-    cap = min(t, PAIR_CAP)
-    vals = [
-        math.exp(n * tau)
-        * _holder_part(annuli, level, n, k, alpha, cap, n_anchors, seed)
-        for n in range(1, annuli.n_max + 1)
-    ]
-    return max(vals)
+    rows = _grid_rows(h, annuli, k, alpha, min(t, PAIR_CAP), n_anchors, seed, 1)
+    return max(math.exp(n * tau) * hol for n, (_, hol) in enumerate(rows, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +477,8 @@ class KFunctionalCurve:
 
 class _AnchorSet:
     """Stratified anchors (with FD stencils) on annuli where a mollifier of
-    width t_max still fits inside the covered ball."""
+    width t_max still fits inside the covered ball; t_max = 0 keeps every
+    annulus of the decomposition."""
 
     def __init__(
         self,
@@ -489,78 +497,47 @@ class _AnchorSet:
             )
         self.annuli = annuli
         self.n_usable = usable
-        idx, labels = [], []
-        for n in range(1, usable + 1):
-            sel = _anchor_indices(annuli, n, per_annulus, seed)
-            idx.append(sel)
-            labels.append(np.full(sel.size, n))
+        ns = range(1, usable + 1)
+        idx = [_anchor_indices(annuli, n, per_annulus, seed) for n in ns]
         self.flat = np.concatenate(idx)
-        self.annulus = np.concatenate(labels)
-        pts = grid.points.reshape(-1, 2 * grid.m)
-        self.points = pts[self.flat]
-        dx = np.empty(self.flat.size)
-        for n in range(1, usable + 1):
-            sel = self.annulus == n
-            dx[sel] = annuli.boundary_distance(n).ravel()[self.flat[sel]]
-        self.d_x = dx
-        if need_stencil:
-            n_ax = 2 * grid.m
-            offs = np.zeros((1 + 2 * n_ax, n_ax))
-            for a in range(n_ax):
-                offs[1 + 2 * a, a] = grid.spacing
-                offs[2 + 2 * a, a] = -grid.spacing
-            self.eval_points = (self.points[:, None, :] + offs[None, :, :]).reshape(
-                -1, n_ax
-            )
-            self.stencil = 1 + 2 * n_ax
-        else:
-            self.eval_points = self.points
-            self.stencil = 1
+        self.annulus = np.concatenate([np.full(i.size, n) for n, i in zip(ns, idx)])
+        self.points = grid.points.reshape(-1, 2 * grid.m)[self.flat]
+        self.d_x = np.concatenate(
+            [annuli.boundary_distance(n).ravel()[i] for n, i in zip(ns, idx)]
+        )
+        n_ax = 2 * grid.m
+        self.stencil = 1 + 2 * n_ax if need_stencil else 1
+        offs = np.zeros((self.stencil, n_ax))  # the center, then +-spacing per axis
+        for a in range(self.stencil // 2):
+            offs[1 + 2 * a, a] = grid.spacing
+            offs[2 + 2 * a, a] = -grid.spacing
+        self.eval_points = (self.points[:, None, :] + offs).reshape(-1, n_ax)
 
     def derivative(self, vals: np.ndarray) -> np.ndarray:
-        # central differences from the stencil layout above
+        # central differences from the stencil layout above, stacked as in
+        # _derivative_stack: components, then the axis last
         grid = self.annuli.grid
-        n_ax = 2 * grid.m
         v = vals.reshape(-1, self.stencil, vals.shape[-1])
-        out = np.empty((v.shape[0], n_ax, vals.shape[-1]))
-        for a in range(n_ax):
-            out[:, a] = (v[:, 1 + 2 * a] - v[:, 2 + 2 * a]) / (2.0 * grid.spacing)
-        return out
-
-    def centers(self, vals: np.ndarray) -> np.ndarray:
-        return vals.reshape(-1, self.stencil, vals.shape[-1])[:, 0]
+        diffs = [
+            (v[:, 1 + 2 * a] - v[:, 2 + 2 * a]) / (2.0 * grid.spacing)
+            for a in range(2 * grid.m)
+        ]
+        return np.stack(diffs, axis=-1).reshape(len(v), -1)
 
     def norm(
-        self,
-        vals0: np.ndarray,
-        vals1: np.ndarray | None,
-        kcls: int,
-        alpha: float | None,
-        tau: float,
+        self, levels: list[np.ndarray], kcls: int, alpha: float | None, tau: float
     ) -> float:
-        """Anchor surrogate of the weighted (kcls + alpha) norm."""
+        """Anchor surrogate of the weighted (kcls + alpha) norm from the
+        derivative levels at the anchors, over every ordered anchor pair."""
         best = 0.0
-        level = vals0 if kcls == 0 else vals1.reshape(vals1.shape[0], -1)
         for n in range(1, self.n_usable + 1):
-            sel = self.annulus == n
-            if not np.any(sel):
-                continue
-            s = float(np.max(np.abs(vals0[sel])))
-            if kcls >= 1:
-                s += float(np.max(self.d_x[sel] * np.max(np.abs(vals1[sel]), axis=(1, 2))))
-            if alpha is not None:
-                pts, dx, lv = self.points[sel], self.d_x[sel], level[sel]
-                dist = distance(
-                    self.annuli.grid.c, pts[:, None, :], pts[None, :, :]
-                )
-                dp = np.minimum(dx[:, None], dx[None, :])
-                gap = np.max(np.abs(lv[:, None, :] - lv[None, :, :]), axis=-1)
-                ok = (dist > 0) & (dist <= PAIR_CAP)
-                if np.any(ok):
-                    s += float(
-                        np.max(dp[ok] ** (kcls + alpha) * gap[ok] / dist[ok] ** alpha)
-                    )
-            best = max(best, math.exp(n * tau) * s)
+            rows = np.flatnonzero(self.annulus == n)
+            i, j = np.nonzero(~np.eye(rows.size, dtype=bool))
+            s, hol = _annulus_parts(
+                self.annuli.grid.c, self.points, self.d_x, levels[: kcls + 1],
+                rows, (rows[i], rows[j]), alpha,
+            )
+            best = max(best, math.exp(n * tau) * (s + hol))
         return best
 
 
@@ -632,28 +609,22 @@ def k_functional(
         raise ValueError("scales must be positive")
     need_stencil = x_class[0] >= 1 or y_class[0] >= 1
     anchors = _AnchorSet(annuli, max(ts), per_annulus, seed, need_stencil)
-    n_pts = int(np.prod(h.grid.shape))
-    hv_anchor = h.comp.reshape(n_pts, -1)[anchors.flat]
-    grad_h = None
-    if need_stencil:
-        # level-1 stack flattens trailing axes as (components, axis); undo that
-        n_ax = 2 * h.grid.m
-        lev = _derivative_stack(h, 1)[1].reshape(n_pts, -1, n_ax)[anchors.flat]
-        grad_h = np.moveaxis(lev, -1, 1)
-    norm_x_h = anchors.norm(hv_anchor, grad_h, x_class[0], x_class[1], tau)
-    norm_y_h = anchors.norm(hv_anchor, grad_h, y_class[0], y_class[1], tau)
+    stack = _derivative_stack(h, int(need_stencil))
+    h_lv = [lv.reshape(-1, lv.shape[-1])[anchors.flat] for lv in stack]
+    norm_x_h = anchors.norm(h_lv, x_class[0], x_class[1], tau)
+    norm_y_h = anchors.norm(h_lv, y_class[0], y_class[1], tau)
     k_upper, chosen = [], []
     ct_lo, ct_hi = math.inf, -math.inf
     for t in ts:
         bvals, mass = _mollify(anchors, h, t)
         ct_lo = min(ct_lo, float(np.min(mass)))
         ct_hi = max(ct_hi, float(np.max(mass)))
-        b0 = anchors.centers(bvals)
-        b1 = anchors.derivative(bvals) if need_stencil else None
-        a0 = hv_anchor - b0
-        a1 = grad_h - b1 if need_stencil else None
-        na = anchors.norm(a0, a1, x_class[0], x_class[1], tau)
-        nb = anchors.norm(b0, b1, y_class[0], y_class[1], tau)
+        b_lv = [bvals[:: anchors.stencil]]  # the stencil centers
+        if need_stencil:
+            b_lv.append(anchors.derivative(bvals))
+        a_lv = [hl - bl for hl, bl in zip(h_lv, b_lv)]
+        na = anchors.norm(a_lv, x_class[0], x_class[1], tau)
+        nb = anchors.norm(b_lv, y_class[0], y_class[1], tau)
         cand = na + t * nb
         if cand < norm_x_h:
             k_upper.append(cand)
@@ -686,7 +657,11 @@ def theta_norm(
         raise ValueError("theta must lie in (0, 1)")
     if t_list is None:
         t_list = np.geomspace(0.2, 2.0, 6)
-    curve = k_functional(h, t_list, tau, **kw)
+    return _theta_norm(k_functional(h, t_list, tau, **kw), theta)
+
+
+def _theta_norm(curve: KFunctionalCurve, theta: float) -> float:
+    # max over the curve's scales of t^{-theta} K(t)
     return max(t ** (-theta) * k for t, k in zip(curve.ts, curve.k_upper))
 
 
@@ -719,7 +694,7 @@ def interp_inequality_check(
     curve = k_functional(
         h, t_list, tau, x_class=(k, alpha), y_class=(l, beta), annuli=annuli, **kw
     )
-    tn = max(t ** (-theta) * kv for t, kv in zip(curve.ts, curve.k_upper))
+    tn = _theta_norm(curve, theta)
     product = curve.norm_x ** (1.0 - theta) * curve.norm_y**theta
     target = (1.0 - theta) * (k + (alpha or 0.0)) + theta * (l + (beta or 0.0))
     t_int = int(math.floor(target))
@@ -794,11 +769,7 @@ def resolvent_bound_check(
         raise ValueError("resolvent parameters must be positive")
     if not 0 <= direction < 2 * grid.m:
         raise ValueError("direction must index a coordinate axis")
-    idx = [
-        _anchor_indices(annuli, n, per_annulus, seed)
-        for n in range(1, annuli.n_max + 1)
-    ]
-    flat = np.concatenate(idx)
+    flat = _AnchorSet(annuli, 0.0, per_annulus, seed, need_stencil=False).flat
     if include_origin:
         origin = int(np.ravel_multi_index(
             tuple(s // 2 for s in grid.shape), grid.shape

@@ -183,12 +183,14 @@ def test_norms_weighted_and_jobs_identical(tmp_path):
 
 
 def test_norms_kfun_curve(tmp_path):
-    assert main(["norms", "kfun", "--spacing", "0.047",
+    # at rate 0.3 the mollifier pair wins at the smallest scale
+    assert main(["norms", "kfun", "--spacing", "0.047", "--rate", "0.3",
                  "--per-annulus", "20", "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "kfun.csv")
     ks = [float(r[1]) for r in rows]
     assert all(a <= b + 1e-12 for a, b in zip(ks, ks[1:]))  # nondecreasing
-    assert all(r[2] in ("identity", "mollify") for r in rows)
+    assert all(r[2] in ("identity", "mollifier") for r in rows)
+    assert rows[0][2] == "mollifier"
     summary = read_json(tmp_path / "summary.json")
     assert ks[-1] <= summary["norm_x"] + 1e-12
 
@@ -267,6 +269,7 @@ def test_config_via_env_path(tmp_path, monkeypatch):
         (["bogus"], "usage"),
         (["stability", "bogus"], "usage"),
         ([], "usage"),
+        (["norms", "resolvent", "--direction", "2"], "direction"),  # m = 1: axes 0, 1
     ],
 )
 def test_invalid_inputs_exit_2(tmp_path, capsys, argv, field):

@@ -7,6 +7,7 @@ import pytest
 
 import chflow.holder_interpolation as hi
 import chflow.tensor_calculus as tc
+from chflow.chart_geometry import distance
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,100 @@ def test_derivative_stack_is_np_gradient_stacked(grid):
         want.append(np.stack(axes, axis=-1).reshape(grid.shape + (-1,)))
     for got, ref in zip(hi._derivative_stack(h, 2), want, strict=True):
         assert np.array_equal(got, ref)
+
+
+# Brute-force oracles for the one weighted-norm evaluator: every pair of an
+# annulus straight from the definition, with `distance`, `boundary_distance`
+# and the cap of 2, and derivative levels from np.gradient.
+
+M2_GRID = dict(m=2, spacing=0.07, box_half=0.49, c=1 / 16)
+
+
+def gradient_levels(grid, comp, k):
+    levels = [comp.reshape(grid.shape + (-1,))]
+    for _ in range(k):
+        lv = levels[-1]
+        axes = [np.gradient(lv, grid.spacing, axis=a) for a in range(2 * grid.m)]
+        levels.append(np.stack(axes, axis=-1).reshape(grid.shape + (-1,)))
+    return [lv.reshape(-1, lv.shape[-1]) for lv in levels]
+
+
+def brute_quotient(c, pts, dx, level, k, alpha, ordered):
+    # sup of d_xy^{k+alpha} |level(x) - level(y)| / d(x, y)^alpha over the row
+    # pairs (x, y) with 0 < d(x, y) <= 2: every i != j if ordered, else i < j
+    best = 0.0
+    for i in range(len(pts)):
+        j = np.arange(len(pts)) if ordered else np.arange(i + 1, len(pts))
+        j = j[j != i]
+        d = distance(c, pts[i], pts[j])
+        ok = (d > 0) & (d <= 2.0)
+        d_xy = np.minimum(dx[i], dx[j[ok]])
+        gap = np.max(np.abs(level[i] - level[j[ok]]), axis=-1)
+        quot = d_xy ** (k + alpha) * gap / d[ok] ** alpha
+        best = max(best, float(np.max(quot, initial=0.0)))
+    return best
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "cfg,scalar",
+    [
+        (dict(spacing=0.047), False),
+        # M2_GRID's first annulus has 9409 points, 4.4e7 pairs, too many to
+        # hold at once, so at m = 2 the all-pairs check runs on a 9^4 copy
+        # of it (1065 points)
+        (dict(M2_GRID, spacing=0.1225), True),
+    ],
+)
+def test_holder_parts_with_every_point_an_anchor_are_all_pairs(cfg, scalar, k):
+    grid = hi.sampling_grid(**cfg)
+    annuli = hi.AnnuliDecomposition(grid)
+    rng = np.random.default_rng(6)
+    if scalar:
+        wave = np.cos(grid.points @ rng.normal(size=2 * grid.m))
+        h = tc.scalar_field(grid, np.exp(-grid.r_geo) * wave)
+    else:
+        h = seeded_field(grid, 4)
+    tau = grid.m / 2.0 + 0.5
+    pts = grid.points.reshape(-1, 2 * grid.m)
+    rep = hi.weighted_norm(h, k, 0.5, tau, annuli, n_anchors=len(pts))
+    level = gradient_levels(grid, h.comp, k)[k]
+    want = []
+    for n in range(1, annuli.n_max + 1):
+        idx = np.flatnonzero(annuli.mask(n))
+        dx = annuli.boundary_distance(n).ravel()[idx]
+        want.append(brute_quotient(grid.c, pts[idx], dx, level[idx], k, 0.5, False))
+    assert rep.holder_parts == tuple(want)
+    assert all(v > 0 for v in want)
+
+
+@pytest.mark.parametrize("cfg", [dict(spacing=0.047), M2_GRID])
+def test_anchor_norm_is_every_ordered_anchor_pair(cfg):
+    grid = hi.sampling_grid(**cfg)
+    annuli = hi.AnnuliDecomposition(grid)
+    anchors = hi._AnchorSet(annuli, 0.2, 15, 3, need_stencil=True)
+    rng = np.random.default_rng(8)
+    n_pts, n_ax = anchors.flat.size, 2 * grid.m
+    levels = [rng.normal(size=(n_pts, 3)), rng.normal(size=(n_pts, 3 * n_ax))]
+    pts = grid.points.reshape(-1, n_ax)
+    tau = grid.m / 2.0 + 0.5
+    for kcls in (0, 1):
+        for alpha in (None, 0.5):
+            want = 0.0
+            for n in range(1, anchors.n_usable + 1):
+                rows = np.flatnonzero(anchors.annulus == n)
+                flat = anchors.flat[rows]
+                assert np.array_equal(flat, hi._anchor_indices(annuli, n, 15, 3))
+                dx = annuli.boundary_distance(n).ravel()[flat]
+                s = sum(
+                    float(np.max(dx**q * np.max(np.abs(levels[q][rows]), axis=-1)))
+                    for q in range(kcls + 1)
+                )
+                if alpha is not None:
+                    lv = levels[kcls][rows]
+                    s += brute_quotient(grid.c, pts[flat], dx, lv, kcls, alpha, True)
+                want = max(want, math.exp(n * tau) * s)
+            assert anchors.norm(levels, kcls, alpha, tau) == want
 
 
 class TestLittleModulus:
