@@ -82,7 +82,12 @@ def random_bump_tensor(
         mat = rng.standard_normal((n, n))
         mat = mat + mat.T
         mat *= amplitude / np.linalg.norm(mat)
-        comp += _bump_profile(grid.points, center, w, power)[..., None, None] * mat
+        # the profile is 0 beyond center +- w on every axis: one cell past
+        # that, the box holds every cell it is nonzero on
+        lo = np.maximum(np.searchsorted(grid.axes, center - w) - 1, 0)
+        hi = np.searchsorted(grid.axes, center + w, side="right") + 1
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        comp[box] += _bump_profile(grid.points[box], center, w, power)[..., None, None] * mat
     # 1e-9 guards against roundoff in box_half - 2 * spacing pushing the
     # exact-integer cell count just below its value
     margin = int(math.floor((grid.box_half - support_radius) / grid.spacing + 1e-9))
@@ -148,19 +153,30 @@ def energy_report(h: tc.TensorField) -> EnergyReport:
 
     The field should be compactly supported inside the grid
     (support_margin >= 2); otherwise the discarded boundary terms pollute
-    the residuals.
+    the residuals.  Every term is evaluated on the support window of h:
+    the bounding box of its nonzero cells widened by the 2 cells that A
+    reaches (clamped to the grid), where each pointwise value is the
+    full-grid one, and integrated on the grid, so each term is the same
+    float as from the public functions on the full grid.
     """
     grid = h.grid
     if h.support_margin < 2:
         raise ValueError("energy_report needs a field with support_margin >= 2")
+    cells = np.nonzero(np.any(h.comp, axis=(-2, -1)))  # per-axis indices
+    if not cells[0].size:
+        raise ValueError("energy_report needs a nonzero field")
+    lo = tuple(max(int(ix.min()) - 2, 0) for ix in cells)
+    hi = tuple(min(int(ix.max()) + 3, n) for ix, n in zip(cells, grid.shape))
+    win = tc._window(grid, lo, hi)
+    hw = tc.TensorField(win, h.comp[win.box], 2)
     lam = tc._lam(grid)
-    norm_sq = tc.l2_norm_sq(h)
-    curv = tc.l2_inner(tc.curvature_action(h), h)
-    quad = tc.l2_inner(tc.stability_operator(h), h)
-    nab = tc.covariant_derivative(h)  # one nabla h for |nabla h|^2, delta h and T
+    norm_sq = tc.l2_norm_sq(hw)
+    curv = tc.l2_inner(tc.curvature_action(hw), hw)
+    quad = tc.l2_inner(tc.stability_operator(hw, 2), hw)
+    nab = tc.covariant_derivative(hw)  # one nabla h for |nabla h|^2, delta h and T
     grad_sq = tc.l2_norm_sq(nab)
-    div_sq = tc.l2_norm_sq(tc.TensorField(grid, tc._divergence(nab.comp, grid.Ginv)))
-    t = tc.TensorField(grid, tc._three_tensor(nab.comp))
+    div_sq = tc.l2_norm_sq(tc.TensorField(win, tc._divergence(nab.comp, win.Ginv)))
+    t = tc.TensorField(win, tc._three_tensor(nab.comp))
     del nab  # T's pairing is the report's peak: no second rank-3 array there
     half_t_sq = 0.5 * tc.l2_norm_sq(t)
 

@@ -24,6 +24,14 @@ once to grid shape.  A `band` b keeps box b: each stencil stage of the
 flow right-hand sides and the stability operator runs only on the box the
 next reads (`_stages`); a band of 0 or 1 gives the full-grid values.
 
+A window (`_window`) is any box of a grid, box k among them, standing in
+for the grid under a `TensorField`: its metric arrays are views of the
+grid's cache, and it integrates by zero-padding into the grid, so an
+integral over a field that vanishes outside the window is the same float
+as on the grid.  The stability operator takes its curvature term on the
+window of box b, and `energy_report` works on the window of its field's
+support.
+
 L^2 pairings carry a fixed overall factor of 4.  The factor is a convention
 tied to the frame normalization g(0) = (4/c) Id at c = 4 and is applied
 uniformly to all ranks, so Rayleigh quotients, operator identities, and
@@ -116,6 +124,42 @@ def _box(k: int, base: int) -> tuple:
 def _stages(band: int) -> tuple[int, int]:
     # boxes (k0, k1) of the two stencil stages before a result on box `band`
     return max(band - 2, 0), max(band - 1, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """Box of a `ChartGrid` from index `lo` with `shape` cells per axis."""
+
+    parent: ChartGrid
+    lo: tuple[int, ...]
+    shape: tuple[int, ...]
+
+    @property
+    def box(self) -> tuple:
+        return tuple(slice(i, i + n) for i, n in zip(self.lo, self.shape))
+
+    m = property(lambda self: self.parent.m)
+    c = property(lambda self: self.parent.c)
+    spacing = property(lambda self: self.parent.spacing)
+    cell_volume = property(lambda self: self.parent.cell_volume)
+    G = property(lambda self: self.parent.G[self.box])
+    Ginv = property(lambda self: self.parent.Ginv[self.box])
+    Gamma = property(lambda self: self.parent.Gamma[self.box])
+    sqrt_det = property(lambda self: self.parent.sqrt_det[self.box])
+
+    def integrate(self, scalar: np.ndarray) -> float:
+        padded = np.zeros(self.parent.shape, scalar.dtype)
+        padded[self.box] = scalar
+        return self.parent.integrate(padded)
+
+
+def _window(grid: ChartGrid | _Window, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Window:
+    # the window of cells lo <= index < hi of a grid or of a window, always
+    # over the underlying ChartGrid
+    if isinstance(grid, _Window):
+        lo, hi = (tuple(a + b for a, b in zip(grid.lo, ix)) for ix in (lo, hi))
+        grid = grid.parent
+    return _Window(grid, tuple(lo), tuple(b - a for a, b in zip(lo, hi)))
 
 
 def _padded(core: np.ndarray, k: int, base: int) -> np.ndarray:
@@ -336,11 +380,14 @@ def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
 
 def stability_operator(field: TensorField, band: int = 0) -> TensorField:
     """A h = Delta_L h - 2 lam h = Delta h + 2 R(h, .) on this background,
-    on box `band` and zero outside it (see module docs)."""
+    on box `band` and zero outside it (see module docs), with the
+    curvature term taken on the window of that box."""
     grid = field.grid
     out = rough_laplacian(field, band).comp
-    box = _box(band, len(grid.shape))
-    out[box] += 2.0 * curvature_action(field).comp[box]
+    base = len(grid.shape)
+    box = _box(band, base)
+    window = _window(grid, (band,) * base, tuple(s - band for s in grid.shape))
+    out[box] += 2.0 * curvature_action(TensorField(window, field.comp[box])).comp
     return TensorField(grid, out, max(field.support_margin - 2, band))
 
 

@@ -373,3 +373,30 @@ class TestMutationPoints:
         monkeypatch.setattr(tc, "curvature_action", zeroed)
         # measured 29.2 -> 34.9
         assert abs(sa.linearized_flow(h0, t_end=0.12).rate - ref) > 0.05 * ref
+
+    def test_zeroed_curvature_action_reaches_the_energy_report(self, grid_m1, monkeypatch):
+        h = sa.random_bump_tensor(grid_m1, seed=3)
+        ref = sa.energy_report(h)
+        orig = tc.curvature_action
+
+        def zeroed(field):
+            return tc.TensorField(field.grid, 0.0 * orig(field).comp, field.support_margin)
+
+        monkeypatch.setattr(tc, "curvature_action", zeroed)
+        rep = sa.energy_report(h)
+        assert rep.curvature_term == 0.0
+        # (A h, h) loses its 2 R(h, h) term
+        assert ref.curvature_term != 0.0
+        assert rep.quad_form - ref.quad_form == pytest.approx(-2.0 * ref.curvature_term, rel=1e-9)
+
+    def test_scaled_stability_operator_reaches_the_energy_report(self, grid_m1, monkeypatch):
+        h = sa.random_bump_tensor(grid_m1, seed=3)
+        ref = sa.energy_report(h)
+        orig = tc.stability_operator
+
+        def scaled(field, band=0):
+            out = orig(field, band)
+            return tc.TensorField(out.grid, 1.5 * out.comp, out.support_margin)
+
+        monkeypatch.setattr(tc, "stability_operator", scaled)
+        assert sa.energy_report(h).quad_form == pytest.approx(1.5 * ref.quad_form, rel=1e-12)

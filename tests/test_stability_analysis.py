@@ -107,6 +107,47 @@ class TestEnergyReport:
         assert rep.curvature_term == tc.l2_inner(tc.curvature_action(h), h)
         assert rep.quad_form == tc.l2_inner(tc.stability_operator(h), h)
 
+    def test_zero_field_fails_fast(self, grid_m1):
+        zero = tc.TensorField(grid_m1, np.zeros(grid_m1.shape + (2, 2)), 2)
+        with pytest.raises(ValueError, match="nonzero field"):
+            sa.energy_report(zero)
+
+    @pytest.mark.parametrize("case", ["at_a_face", "whole_grid", "m2_coarse"])
+    def test_windowed_terms_equal_the_public_functions(self, case):
+        # energy_report works on the support window of h; each term is the
+        # same float as from the public functions on the full grid
+        if case == "m2_coarse":
+            grid = ChartGrid(m=2, c=4.0, box_half=0.4, spacing=0.1)
+            h = sa.random_bump_tensor(grid, seed=2)
+        else:
+            grid = ChartGrid(m=1, c=4.0, box_half=0.4, spacing=0.05)
+            s = grid.spacing
+            if case == "at_a_face":  # nonzero from cell 2 along axis 0
+                width, center = 0.12, np.array([-grid.box_half + 1.5 * s + 0.12, 0.05])
+            else:  # nonzero from cell 2 along every axis
+                width, center = grid.box_half - 1.5 * s, np.zeros(2)
+            prof = bump_scalar(grid, width, center=center).comp
+            mat = np.array([[1.0, 0.3], [0.3, -0.5]])
+            h = tc.sym_tensor(grid, prof[..., None, None] * mat, 2)
+            face = np.any(h.comp, axis=(-2, -1))
+            assert not face[:2].any() and face[2].any()
+            if case == "whole_grid":
+                assert face[-3].any() and face[:, 2].any() and face[:, -3].any()
+        lam = float(einstein_constants(grid.m, 1)[0]) * grid.c
+        for key in ("G", "Ginv", "Gamma", "sqrt_det"):
+            getattr(grid, key)
+        keys = set(grid._cache)
+        rep = sa.energy_report(h)
+        assert set(grid._cache) == keys
+        norm_sq = tc.l2_norm_sq(h)
+        assert rep.norm_sq == norm_sq
+        assert rep.grad_sq == tc.l2_norm_sq(tc.covariant_derivative(h))
+        assert rep.half_t_sq == 0.5 * tc.l2_norm_sq(tc.three_tensor_T(h))
+        assert rep.div_sq == tc.l2_norm_sq(tc.divergence(h))
+        assert rep.lam_norm_sq == lam * norm_sq
+        assert rep.curvature_term == tc.l2_inner(tc.curvature_action(h), h)
+        assert rep.quad_form == tc.l2_inner(tc.stability_operator(h), h)
+
     def test_rayleigh_bound_m1(self, grid_m1):
         # m = 1 is the sharpness regime: bound is exactly 0
         rep = sa.energy_report(sa.random_bump_tensor(grid_m1, seed=7))

@@ -308,6 +308,41 @@ def test_chart_grid_owns_its_cache():
     assert set(grid._cache) <= {"points", "G", "Ginv", "sqrt_det", "Gamma", "r_geo"}
 
 
+def test_window_reads_views_of_the_grid_cache():
+    grid = cg.ChartGrid(m=2, c=4.0, box_half=0.2, spacing=0.05)
+    win = tc._window(grid, (1, 2, 0, 3), (6, 9, 4, 7))
+    assert win.shape == (5, 7, 4, 4)
+    for key in ("G", "Ginv", "Gamma", "sqrt_det"):
+        got = getattr(win, key)
+        assert np.shares_memory(got, grid._cache[key])
+        assert np.array_equal(got, getattr(grid, key)[win.box])
+    assert set(grid._cache) == {"points", "G", "Ginv", "Gamma", "sqrt_det"}
+    assert (win.m, win.c, win.spacing, win.cell_volume) == (
+        grid.m, grid.c, grid.spacing, grid.cell_volume
+    )
+
+
+def test_window_of_a_window_is_the_window_of_the_composed_box():
+    grid = cg.ChartGrid(m=1, c=4.0, box_half=0.4, spacing=0.05)
+    outer = tc._window(grid, (2, 3), (15, 12))
+    inner = tc._window(outer, (1, 2), (10, 8))
+    composed = tc._window(grid, (3, 5), (12, 11))
+    assert inner.parent is grid
+    assert inner.box == composed.box
+    for key in ("G", "Ginv", "Gamma", "sqrt_det"):
+        assert np.shares_memory(getattr(inner, key), grid._cache[key])
+        assert np.array_equal(getattr(inner, key), getattr(composed, key))
+
+
+def test_window_integrates_on_the_grid():
+    # a scalar that vanishes outside the window: the same float either way
+    grid = cg.ChartGrid(m=1, c=4.0, box_half=0.4, spacing=0.05)
+    win = tc._window(grid, (4, 0), (13, 9))
+    scalar = np.zeros(grid.shape)
+    scalar[win.box] = np.random.default_rng(1).standard_normal(win.shape)
+    assert win.integrate(scalar[win.box]) == grid.integrate(scalar)
+
+
 def test_l2_convention_factor():
     # the pairing carries a global factor 4: <g, g> = 4 n Vol
     grid = grid_m1(0.05, c=1.0)
