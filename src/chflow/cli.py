@@ -276,7 +276,7 @@ COMMANDS: dict[str, Command] = {
             Opt("per_annulus", _int_min(1), None,
                 "anchors per annulus for kfun/interp/resolvent"),
             Opt("t_list", _float_list_pos, (0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
-                "K-functional scales"),
+                "K-functional scales for kfun (interp records its own)"),
             Opt("scales", _float_list_pos, (0.6, 1.2, 2.4),
                 "bump-field scales for the interpolation table"),
             Opt("lam", _float_list_pos, (0.1, 1.0, 10.0, 100.0),
@@ -682,7 +682,8 @@ def _run_norms_interp(v: dict, outdir: Path):
         "max_ratio": max(r["ratio"] for r in results),
         "target_order": results[0]["target_order"],
     }))
-    return _echo({**v, "per_annulus": pa}), files
+    # interp samples K on the library's default scales, not --t-list
+    return _echo({**v, "per_annulus": pa, "t_list": results[0]["t_list"]}), files
 
 
 def _run_norms_resolvent(v: dict, outdir: Path):

@@ -205,6 +205,24 @@ def test_norms_interp_ratios(tmp_path):
     assert all(0 < q <= 1 + 1e-9 for q in ratios)
 
 
+def test_norms_interp_records_its_scales(tmp_path):
+    assert main(["norms", "interp", "--spacing", "0.047",
+                 "--per-annulus", "20", "--scales", "1.2",
+                 "--out", str(tmp_path)]) == 0
+    params = read_json(tmp_path / "manifest.json")["parameters"]
+    assert params["t_list"] == list(np.geomspace(0.2, 2.0, 6))
+
+
+def test_norms_interp_jobs_identical(tmp_path):
+    args = ["norms", "interp", "--spacing", "0.047", "--per-annulus", "20",
+            "--scales", "0.6,1.2"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
+    for name in ("interp.csv", "summary.json", "manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_norms_resolvent_oracle(tmp_path):
     assert main(["norms", "resolvent", "--spacing", "0.047",
                  "--per-annulus", "4", "--quad-points", "301",

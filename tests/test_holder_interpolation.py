@@ -405,6 +405,78 @@ class TestKFunctional:
             hi.theta_norm(h, 1.5, 1.0)
 
 
+    def test_empty_scales_fail_fast(self, grid):
+        h = bump_field(grid)
+        with pytest.raises(ValueError, match="scales must be a nonempty list"):
+            hi.k_functional(h, [], 1.0)
+        with pytest.raises(ValueError, match="scales must be a nonempty list"):
+            hi.theta_norm(h, 0.5, 1.0, t_list=[])
+
+    def test_one_distance_call_per_anchor_block_for_any_scale_count(
+        self, grid, monkeypatch
+    ):
+        # the K-functional's block-by-grid distances are shared by every
+        # scale; the anchor-pair calls of its norms are one per annulus and norm
+        h = bump_field(grid, 1.5)
+        cls = dict(x_class=(0, 0.5), y_class=(1, 0.5), per_annulus=20)
+        ndims = []
+        real = hi.distance
+
+        def counting(c, x, y):
+            ndims.append(np.ndim(x))
+            return real(c, x, y)
+
+        monkeypatch.setattr(hi, "distance", counting)
+        for ts in ([2.0], list(np.geomspace(0.2, 2.0, 6))):
+            ndims.clear()
+            hi.k_functional(h, ts, 1.0, **cls)
+            anchors = hi._AnchorSet(hi.AnnuliDecomposition(grid), 2.0, 20, 0, True)
+            blocks = -(-len(anchors.eval_points) // 64)
+            assert ndims.count(3) == blocks
+            assert ndims.count(2) == (2 + 2 * len(ts)) * anchors.n_usable
+            assert len(ndims) == blocks + ndims.count(2)
+
+
+def dense_mollify(anchors, h, t, chunk=64):
+    # the kernel on every anchor-grid pair, blocked as _mollify blocks rows
+    grid = anchors.annuli.grid
+    n = 2 * grid.m
+    pts = grid.points.reshape(-1, n)
+    dens = (grid.sqrt_det * grid.cell_volume).ravel()
+    hv = h.comp.reshape(len(pts), -1)
+    vals, dens_sums = [], []
+    for i0 in range(0, len(anchors.eval_points), chunk):
+        block = anchors.eval_points[i0 : i0 + chunk]
+        w = hi._kernel(distance(grid.c, block[:, None, :], pts[None]) / t) * dens
+        den = np.sum(w, axis=1)
+        vals.append((w @ hv) / den[:, None])
+        dens_sums.append(den)
+    return np.concatenate(vals), np.concatenate(dens_sums) / (
+        hi._kernel_euclid_mass(n) * t**n
+    )
+
+
+@pytest.mark.parametrize("m, spacing, box_half, c, per_annulus", [
+    (1, 0.047, 0.705, 1 / 16, 10),  # a coarse copy of the default chart
+    (2, 0.12, 0.48, 1 / 64, 6),  # a 9^4 chart
+])
+@pytest.mark.parametrize("need_stencil", [False, True])
+def test_mollify_matches_dense_oracle(m, spacing, box_half, c, per_annulus,
+                                      need_stencil):
+    grid = hi.sampling_grid(m=m, spacing=spacing, box_half=box_half, c=c)
+    h = seeded_field(grid, 3)
+    ts = [0.9, 0.3, 1.7, 0.3, 0.6] if m == 1 else [3.2, 1.0, 2.5, 1.0, 2.0]
+    anchors = hi._AnchorSet(
+        hi.AnnuliDecomposition(grid), max(ts), per_annulus, 0, need_stencil
+    )
+    got = hi._mollify(anchors, h, ts)
+    assert len(got) == len(ts)
+    for t, (vals, mass) in zip(ts, got):
+        want_vals, want_mass = dense_mollify(anchors, h, t)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(mass, want_mass)
+
+
 class TestInterpolationInequality:
     def test_family_bounded_ratios(self, grid):
         ts = list(np.geomspace(0.2, 2.0, 6))
