@@ -28,17 +28,12 @@ __all__ = [
     "christoffels_from_partials",
     "kahler_form_at",
     "riemann_coordinate_at",
-    "ricci_fd_at",
     "CurvatureComponentReport",
     "curvature_component_check",
-    "curvature_crosscheck",
     "distance",
     "mobius_involution",
     "geodesic_from",
-    "coordinate_radius",
     "sphere_area",
-    "ball_volume",
-    "volume_growth_rate",
     "ChartGrid",
 ]
 
@@ -199,17 +194,6 @@ def _fd_riemann(m: int, c: float, x: np.ndarray, step: float) -> np.ndarray:
     return np.einsum("ipql,jl->ipqj", rupper, g)
 
 
-def ricci_fd_at(m: int, c: float, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Ricci tensor at a point from finite differences of Christoffels.
-
-    Rc_{ij} = g^{kl} R_{kijl}, the contraction of the finite-difference
-    curvature tensor.  Second-order accurate in step; used as an
-    independent check of the algebraic curvature.
-    """
-    ginv = np.linalg.inv(bergman_metric_at(m, c, x))
-    return np.einsum("kl,kijl->ij", ginv, _fd_riemann(m, c, x, step))
-
-
 CURVATURE_COMPONENT_CLASSES: tuple[tuple[str, tuple[int, int, int, int], float], ...] = (
     # label, 0-based coordinate indices at the origin, exact value in units of c
     ("X,JX,JX,X", (0, 1, 1, 0), -1.0),
@@ -277,18 +261,6 @@ def curvature_component_check(
     )
 
 
-def curvature_crosscheck(m: int, c: float, x: np.ndarray, step: float = 1e-3) -> float:
-    """Relative gap between finite-difference and algebraic curvature at x.
-
-    Builds R_{ipqj} by differencing the analytic Christoffels and compares
-    with `riemann_coordinate_at`.  Returns max abs difference / max abs
-    component.
-    """
-    rm_fd = _fd_riemann(m, c, x, step)
-    rm = riemann_coordinate_at(m, c, x)
-    return float(np.max(np.abs(rm_fd - rm)) / np.max(np.abs(rm)))
-
-
 # ---------------------------------------------------------------------------
 # distance and geodesics
 
@@ -326,11 +298,6 @@ def mobius_involution(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     pz = (za / aa)[..., None] * a
     qz = z - pz
     return (a - pz - s * qz) / (1.0 - za)[..., None]
-
-
-def coordinate_radius(c: float, r_geodesic: float) -> float:
-    """Euclidean radius of the geodesic ball of radius r about the origin."""
-    return math.tanh(math.sqrt(c) * r_geodesic / 2.0)
 
 
 def geodesic_from(
@@ -380,24 +347,6 @@ def _simpson(f: np.ndarray, h: float) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.sum(w * f) * h / 3.0)
-
-
-def ball_volume(m: int, c: float, radius: float, npts: int = 2049) -> float:
-    """Volume of the geodesic ball of radius `radius` (radial quadrature)."""
-    r = np.linspace(0.0, radius, npts)
-    return _simpson(sphere_area(m, c, r), r[1] - r[0])
-
-
-def volume_growth_rate(m: int, c: float, r1: float, r2: float) -> float:
-    """Log-volume growth rate (log V(r2) - log V(r1)) / (r2 - r1).
-
-    Tends to m sqrt(c) from below as the radii grow.
-    """
-    if not 0 < r1 < r2:
-        raise ValueError("need 0 < r1 < r2")
-    return (math.log(ball_volume(m, c, r2)) - math.log(ball_volume(m, c, r1))) / (
-        r2 - r1
-    )
 
 
 # ---------------------------------------------------------------------------

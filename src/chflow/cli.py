@@ -276,7 +276,7 @@ COMMANDS: dict[str, Command] = {
             Opt("per_annulus", _int_min(1), None,
                 "anchors per annulus for kfun/interp/resolvent"),
             Opt("t_list", _float_list_pos, (0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
-                "K-functional scales for kfun (interp records its own)"),
+                "K-functional scales for kfun (interp rejects it)"),
             Opt("scales", _float_list_pos, (0.6, 1.2, 2.4),
                 "bump-field scales for the interpolation table"),
             Opt("lam", _float_list_pos, (0.1, 1.0, 10.0, 100.0),
@@ -774,11 +774,15 @@ def main(argv=None) -> int:
                 "a subcommand is required: " + ", ".join(COMMANDS),
             )
         meta = COMMANDS[ns.command]
+        action = getattr(ns, "action", None)
+        # interp samples its own scales: an explicit --t-list exits 2; the
+        # config and environment layers, shared across actions, do not
+        if (ns.command, action) == ("norms", "interp") and ns.t_list is not None:
+            raise CliError("t_list", "not used by norms interp")
         cfg_path = ns.config if ns.config is not None \
             else os.environ.get(ENV_PREFIX + "CONFIG")
         config = _read_config(cfg_path) if cfg_path else {}
         vals = _resolve(ns, meta.options, config)
-        action = getattr(ns, "action", None)
         outdir = Path(vals["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         params, files = _RUNNERS[(ns.command, action)](vals, outdir)

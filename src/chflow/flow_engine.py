@@ -36,9 +36,7 @@ from . import stability_analysis as sa
 from . import tensor_calculus as tc
 
 __all__ = [
-    "ricci_of",
     "normalized_ricci_rhs",
-    "vector_transport",
     "deturck_term",
     "deturck_rhs",
     "FixedPointReport",
@@ -47,11 +45,6 @@ __all__ = [
     "FlowTrace",
     "evolve",
 ]
-
-
-def ricci_of(grid: ChartGrid, g: np.ndarray) -> np.ndarray:
-    """Ricci tensor of an arbitrary grid metric, by finite differences."""
-    return tc.ricci_of_metric(g, *tc.metric_jet(g, grid.spacing), grid.spacing)
 
 
 def normalized_ricci_rhs(grid: ChartGrid, g: np.ndarray, band: int = 0) -> np.ndarray:
@@ -63,15 +56,6 @@ def normalized_ricci_rhs(grid: ChartGrid, g: np.ndarray, band: int = 0) -> np.nd
 def _transport(g: np.ndarray, uinv: np.ndarray, beta: np.ndarray) -> np.ndarray:
     # g_{jk} u^{kl} beta_l on raw arrays
     return (g @ (uinv @ beta[..., None]))[..., 0]
-
-
-def vector_transport(grid: ChartGrid, g: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """One-form transport (u~ beta)_j = g_{jk} u^{kl} beta_l, u = background.
-
-    Raises the index with the background inverse and lowers it with the
-    evolving metric; linear in beta, and the identity at g = g_B.
-    """
-    return _transport(g, grid.Ginv, beta)
 
 
 def deturck_term(

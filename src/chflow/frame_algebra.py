@@ -29,7 +29,6 @@ __all__ = [
     "apply_j",
     "riemann_component",
     "sectional_curvature",
-    "wedge_action",
     "GammaBasisElement",
     "build_gamma_basis",
     "CurvatureMatrix",
@@ -37,8 +36,6 @@ __all__ = [
     "block_R_gamma",
     "spectrum_R_gamma",
     "spectrum_by_block",
-    "verify_model_eigenvectors",
-    "ModelEigenvectorReport",
     "einstein_constants",
     "stability_bound_coefficient",
 ]
@@ -148,15 +145,6 @@ def sectional_curvature(
     if k != k_tensor:
         raise AssertionError("curvature-form cross-check failed (internal)")
     return k
-
-
-def wedge_action(m: int, c: Fraction | int, i: int, j: int, k: int, l: int) -> Fraction:
-    """Pairing of the curvature action on two-forms with basis bivectors.
-
-    <R_wedge(e_i ^ e_j), e_k ^ e_l> = 4 R(e_i, e_j, e_l, e_k).  Definition
-    only; no spectral structure is claimed here.
-    """
-    return 4 * riemann_component(m, c, i, j, l, k)
 
 
 # ---------------------------------------------------------------------------
@@ -343,48 +331,6 @@ def spectrum_by_block(m: int, c: Fraction | int) -> dict[str, list[tuple[Fractio
         out["A"].insert(1, (-c / 2, m - 1))
         out["F"] = [(-c / 2, m * (m - 1)), (c, m * (m - 1))]
     return out
-
-
-@dataclass(frozen=True)
-class ModelEigenvectorReport:
-    m: int
-    checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_model_eigenvectors(m: int) -> ModelEigenvectorReport:
-    """Exact A-block eigenvector check for the model vectors X, Y_i, Z_i.
-
-    X = (1,...,1) with eigenvalue 2(m+1); Y_i has -1,-1 in the first two
-    entries and 1,1 in entries 2i+1, 2i+2 (eigenvalue 2); Z_i has -1, 1 in
-    entries 2i-1, 2i (eigenvalue -4).  Integer arithmetic throughout.
-    """
-    a = _block_A(m)
-    failures: list[str] = []
-    checked = 0
-
-    def check(name: str, vec: np.ndarray, ev: int) -> None:
-        nonlocal checked
-        checked += 1
-        if not np.array_equal(a @ vec, ev * vec):
-            failures.append(name)
-
-    check("X", np.ones(2 * m, dtype=np.int64), 2 * (m + 1))
-    for i in range(1, m):
-        y = np.zeros(2 * m, dtype=np.int64)
-        y[0] = y[1] = -1
-        y[2 * i] = y[2 * i + 1] = 1
-        check(f"Y_{i}", y, 2)
-    for i in range(1, m + 1):
-        z = np.zeros(2 * m, dtype=np.int64)
-        z[2 * i - 2] = -1
-        z[2 * i - 1] = 1
-        check(f"Z_{i}", z, -4)
-    return ModelEigenvectorReport(m=m, checked=checked, failures=tuple(failures))
 
 
 def einstein_constants(m: int, c: Fraction | int) -> tuple[Fraction, Fraction]:

@@ -52,7 +52,6 @@ __all__ = [
     "sobolev_embedding_check",
     "KFunctionalCurve",
     "k_functional",
-    "theta_norm",
     "interp_inequality_check",
     "ResolventReport",
     "resolvent_bound_check",
@@ -655,21 +654,6 @@ def k_functional(
         y_class=y_class,
         tau=tau,
     )
-
-
-def theta_norm(
-    h: tc.TensorField,
-    theta: float,
-    tau: float,
-    t_list=None,
-    **kw,
-) -> float:
-    """max over sampled t of t^{-theta} K(t, h) (interpolation-norm surrogate)."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if t_list is None:
-        t_list = np.geomspace(0.2, 2.0, 6)
-    return _theta_norm(k_functional(h, t_list, tau, **kw), theta)
 
 
 def _theta_norm(curve: KFunctionalCurve, theta: float) -> float:

@@ -49,21 +49,11 @@ from .frame_algebra import einstein_constants
 
 __all__ = [
     "TensorField",
-    "scalar_field",
-    "one_form",
     "sym_tensor",
-    "partial_derivative",
     "covariant_derivative",
     "rough_laplacian",
     "curvature_action",
-    "lichnerowicz",
     "stability_operator",
-    "divergence",
-    "divergence_adjoint",
-    "trace_field",
-    "einstein_tensor_part",
-    "bianchi_one_form",
-    "three_tensor_T",
     "l2_inner",
     "l2_norm_sq",
     "metric_jet",
@@ -90,14 +80,6 @@ class TensorField:
         n = 2 * self.grid.m
         if any(s != n for s in self.comp.shape[len(gs) :]):
             raise ValueError("component axes must have length 2m")
-
-
-def scalar_field(grid: ChartGrid, values: np.ndarray, margin: int = 0) -> TensorField:
-    return TensorField(grid, np.asarray(values, dtype=float), margin)
-
-
-def one_form(grid: ChartGrid, comp: np.ndarray, margin: int = 0) -> TensorField:
-    return TensorField(grid, np.asarray(comp, dtype=float), margin)
 
 
 def sym_tensor(grid: ChartGrid, comp: np.ndarray, margin: int = 0) -> TensorField:
@@ -298,13 +280,6 @@ def _pairing(a: np.ndarray, b: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sum(raised * b, axis=tuple(range(-rank, 0)))
 
 
-def partial_derivative(field: TensorField) -> TensorField:
-    """Coordinate partials, new index first: out[..., a, I] = d_a comp[..., I]."""
-    grid = field.grid
-    out = _partials(field.comp, len(grid.shape), grid.spacing)
-    return TensorField(grid, out, max(field.support_margin - 1, 0))
-
-
 def covariant_derivative(field: TensorField) -> TensorField:
     """Covariant derivative with respect to the background metric."""
     grid = field.grid
@@ -332,14 +307,6 @@ def rough_laplacian(field: TensorField, band: int = 0) -> TensorField:
     return TensorField(grid, out, max(field.support_margin - 2, band))
 
 
-def trace_field(field: TensorField) -> TensorField:
-    """Metric trace g^{ij} h_{ij} of a (0,2)-tensor."""
-    if field.rank != 2:
-        raise ValueError("trace_field expects rank 2")
-    tr = _trace(field.comp, field.grid.Ginv)
-    return TensorField(field.grid, tr, field.support_margin)
-
-
 def curvature_action(field: TensorField) -> TensorField:
     """C_{ij} = R_{ipqj} h^{pq}, the curvature term of the Lichnerowicz
     Laplacian (which contributes 2 C).
@@ -357,27 +324,6 @@ def curvature_action(field: TensorField) -> TensorField:
     return TensorField(grid, out, field.support_margin)
 
 
-def lichnerowicz(field: TensorField, ricci_mode: str = "exact") -> TensorField:
-    """Lichnerowicz Laplacian Delta_L h = Delta h + 2 R(h, .) - Rc h - h Rc.
-
-    ricci_mode selects how the Ricci terms are evaluated: "exact" uses the
-    Einstein identity Rc = -lam g of the background, "fd" recomputes the
-    Ricci tensor by finite differences of the background metric.  The two
-    agree to O(spacing^2); keeping both routes guards the implementation.
-    """
-    grid = field.grid
-    out = stability_operator(field).comp
-    if ricci_mode == "exact":
-        out += 2.0 * _lam(grid) * field.comp
-    elif ricci_mode == "fd":
-        rc = ricci_of_metric(grid.G, *metric_jet(grid.G, grid.spacing), grid.spacing)
-        mixed = rc @ grid.Ginv @ field.comp
-        out -= mixed + np.swapaxes(mixed, -1, -2)
-    else:
-        raise ValueError(f"unknown ricci_mode {ricci_mode!r}")
-    return TensorField(grid, _symmetrized(out), max(field.support_margin - 2, 0))
-
-
 def stability_operator(field: TensorField, band: int = 0) -> TensorField:
     """A h = Delta_L h - 2 lam h = Delta h + 2 R(h, .) on this background,
     on box `band` and zero outside it (see module docs), with the
@@ -389,46 +335,6 @@ def stability_operator(field: TensorField, band: int = 0) -> TensorField:
     window = _window(grid, (band,) * base, tuple(s - band for s in grid.shape))
     out[box] += 2.0 * curvature_action(TensorField(window, field.comp[box])).comp
     return TensorField(grid, out, max(field.support_margin - 2, band))
-
-
-def divergence(field: TensorField) -> TensorField:
-    """One-form (delta h)_j = -g^{ai} (nabla_a h)_{ij}."""
-    if field.rank != 2:
-        raise ValueError("divergence expects rank 2")
-    K = covariant_derivative(field)
-    comp = _divergence(K.comp, field.grid.Ginv)
-    return TensorField(field.grid, comp, K.support_margin)
-
-
-def divergence_adjoint(field: TensorField) -> TensorField:
-    """Symmetrized covariant derivative (delta* w)_{ij}; L^2-adjoint of
-    `divergence` for compactly supported fields."""
-    if field.rank != 1:
-        raise ValueError("divergence_adjoint expects rank 1")
-    K = covariant_derivative(field)
-    return TensorField(field.grid, _symmetrized(K.comp), K.support_margin)
-
-
-def einstein_tensor_part(field: TensorField) -> TensorField:
-    """G(h) = h - (1/2) (tr_g h) g."""
-    comp = _einstein(field.comp, field.grid.G, field.grid.Ginv)
-    return TensorField(field.grid, comp, field.support_margin)
-
-
-def bianchi_one_form(field: TensorField) -> TensorField:
-    """delta G(h): vanishes on divergence-free, trace-free perturbations and
-    generates the gauge part of the linearized flow."""
-    return divergence(einstein_tensor_part(field))
-
-
-def three_tensor_T(field: TensorField) -> TensorField:
-    """T_{ijk} = (nabla_k h)_{ij} - (nabla_i h)_{jk}.
-
-    Antisymmetric in (i, k) exactly, including in floating point, because the
-    two terms are the same stored array read with permuted axes.
-    """
-    t = _three_tensor(covariant_derivative(field).comp)
-    return TensorField(field.grid, t, max(field.support_margin - 1, 0))
 
 
 def l2_inner(a: TensorField, b: TensorField) -> float:

@@ -213,6 +213,14 @@ def test_norms_interp_records_its_scales(tmp_path):
     assert params["t_list"] == list(np.geomspace(0.2, 2.0, 6))
 
 
+def test_norms_interp_rejects_t_list_flag(tmp_path, capsys):
+    # interp samples its own scales: the flag exits 2 before any output
+    out = tmp_path / "flag"
+    assert main(["norms", "interp", "--t-list", "0.5,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: t_list: not used by norms interp\n"
+    assert not out.exists()
+
+
 def test_norms_interp_jobs_identical(tmp_path):
     args = ["norms", "interp", "--spacing", "0.047", "--per-annulus", "20",
             "--scales", "0.6,1.2"]

@@ -168,15 +168,6 @@ def test_sectional_curvature_input_validation():
         fa.sectional_curvature(1, 1, [0, 0], [1, 0])
 
 
-def test_wedge_action_is_definition():
-    m, c = 2, Fraction(3)
-    for idx in [(1, 2, 1, 2), (1, 3, 2, 4), (1, 2, 3, 4)]:
-        i, j, k, l = idx
-        assert fa.wedge_action(m, c, i, j, k, l) == 4 * fa.riemann_component(
-            m, c, i, j, l, k
-        )
-
-
 # ---------------------------------------------------------------------------
 # gamma basis
 
@@ -272,10 +263,17 @@ def test_spectrum_multiplicities():
 
 
 def test_model_eigenvectors_exact():
+    # integer eigenvectors of the A block (1-based entries): X = (1, ..., 1)
+    # with eigenvalue 2(m+1); Y_i, -1 in entries 1, 2 and 1 in entries
+    # 2i+1, 2i+2, with eigenvalue 2; Z_i, -1 and 1 in entries 2i-1, 2i, with -4
     for m in range(1, 7):
-        report = fa.verify_model_eigenvectors(m)
-        assert report.ok
-        assert report.checked == 2 * m  # X, m-1 Y's, m Z's
+        a, e = fa._block_A(m), np.eye(2 * m, dtype=np.int64)
+        models = [(e.sum(axis=0), 2 * (m + 1))]
+        models += [(e[2 * i] + e[2 * i + 1] - e[0] - e[1], 2) for i in range(1, m)]
+        models += [(e[2 * i - 1] - e[2 * i - 2], -4) for i in range(1, m + 1)]
+        assert len(models) == 2 * m  # X, m-1 Y's, m Z's
+        for vec, ev in models:
+            assert np.array_equal(a @ vec, ev * vec)
 
 
 def test_einstein_constants():

@@ -240,7 +240,7 @@ def test_holder_parts_with_every_point_an_anchor_are_all_pairs(cfg, scalar, k):
     rng = np.random.default_rng(6)
     if scalar:
         wave = np.cos(grid.points @ rng.normal(size=2 * grid.m))
-        h = tc.scalar_field(grid, np.exp(-grid.r_geo) * wave)
+        h = tc.TensorField(grid, np.exp(-grid.r_geo) * wave)
     else:
         h = seeded_field(grid, 4)
     tau = grid.m / 2.0 + 0.5
@@ -345,12 +345,12 @@ class TestSobolevEmbedding:
 
 class TestKFunctional:
     def test_zero_field(self, grid):
-        z = tc.scalar_field(grid, np.zeros(grid.shape))
+        z = tc.TensorField(grid, np.zeros(grid.shape))
         curve = hi.k_functional(z, [0.5, 1.0], 1.0)
         assert curve.k_upper == (0.0, 0.0)
 
     def test_constant_field_crossover(self, grid):
-        one = tc.scalar_field(grid, np.ones(grid.shape))
+        one = tc.TensorField(grid, np.ones(grid.shape))
         ts = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
         curve = hi.k_functional(one, ts, 1.0)
         # mollification reproduces constants exactly, so K(t) = t ||1||_Y
@@ -388,7 +388,8 @@ class TestKFunctional:
         h = bump_field(grid, 1.5)
         ts = list(np.geomspace(0.2, 2.0, 6))
         h2 = tc.sym_tensor(grid, 2.0 * h.comp)
-        assert hi.theta_norm(h2, 0.5, 1.0, ts) == 2.0 * hi.theta_norm(h, 0.5, 1.0, ts)
+        tn = [hi._theta_norm(hi.k_functional(f, ts, 1.0), 0.5) for f in (h2, h)]
+        assert tn[0] == 2.0 * tn[1]
 
     def test_scale_must_fit_inside_covered_ball(self, grid):
         h = bump_field(grid)
@@ -402,7 +403,7 @@ class TestKFunctional:
         with pytest.raises(ValueError):
             hi.k_functional(h, [-0.5], 1.0)
         with pytest.raises(ValueError):
-            hi.theta_norm(h, 1.5, 1.0)
+            hi.interp_inequality_check(h, 0, None, 1, None, 1.5, 1.0)
 
 
     def test_empty_scales_fail_fast(self, grid):
@@ -410,7 +411,7 @@ class TestKFunctional:
         with pytest.raises(ValueError, match="scales must be a nonempty list"):
             hi.k_functional(h, [], 1.0)
         with pytest.raises(ValueError, match="scales must be a nonempty list"):
-            hi.theta_norm(h, 0.5, 1.0, t_list=[])
+            hi.interp_inequality_check(h, 0, None, 1, None, 0.5, 1.0, t_list=[])
 
     def test_one_distance_call_per_anchor_block_for_any_scale_count(
         self, grid, monkeypatch

@@ -24,7 +24,7 @@ def bump_scalar(grid, width, amplitude=1.0, center=None, power=6):
     u2 = np.sum((pts - center) ** 2, axis=-1) / width**2
     prof = amplitude * np.clip(1.0 - u2, 0.0, None) ** power
     margin = int(math.floor((grid.box_half - width) / grid.spacing))
-    return tc.scalar_field(grid, prof, margin=max(margin, 0))
+    return tc.TensorField(grid, prof, max(margin, 0))
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +95,18 @@ class TestEnergyReport:
     def test_terms_equal_the_public_functions(self, grid_m1):
         # energy_report takes |nabla h|^2, T and delta h from one covariant
         # derivative; each term is the same float as from the public pieces
+        # and the kernels on the full grid
         h = sa.random_bump_tensor(grid_m1, seed=6)
         rep = sa.energy_report(h)
         lam = float(einstein_constants(1, 1)[0]) * grid_m1.c
         norm_sq = tc.l2_norm_sq(h)
         assert rep.norm_sq == norm_sq
         assert rep.grad_sq == tc.l2_norm_sq(tc.covariant_derivative(h))
-        assert rep.half_t_sq == 0.5 * tc.l2_norm_sq(tc.three_tensor_T(h))
-        assert rep.div_sq == tc.l2_norm_sq(tc.divergence(h))
+        nab = tc.covariant_derivative(h).comp
+        t = tc.TensorField(h.grid, tc._three_tensor(nab))
+        div = tc.TensorField(h.grid, tc._divergence(nab, h.grid.Ginv))
+        assert rep.half_t_sq == 0.5 * tc.l2_norm_sq(t)
+        assert rep.div_sq == tc.l2_norm_sq(div)
         assert rep.lam_norm_sq == lam * norm_sq
         assert rep.curvature_term == tc.l2_inner(tc.curvature_action(h), h)
         assert rep.quad_form == tc.l2_inner(tc.stability_operator(h), h)
@@ -115,7 +119,7 @@ class TestEnergyReport:
     @pytest.mark.parametrize("case", ["at_a_face", "whole_grid", "m2_coarse"])
     def test_windowed_terms_equal_the_public_functions(self, case):
         # energy_report works on the support window of h; each term is the
-        # same float as from the public functions on the full grid
+        # same float as from the public functions and kernels on the full grid
         if case == "m2_coarse":
             grid = ChartGrid(m=2, c=4.0, box_half=0.4, spacing=0.1)
             h = sa.random_bump_tensor(grid, seed=2)
@@ -142,8 +146,11 @@ class TestEnergyReport:
         norm_sq = tc.l2_norm_sq(h)
         assert rep.norm_sq == norm_sq
         assert rep.grad_sq == tc.l2_norm_sq(tc.covariant_derivative(h))
-        assert rep.half_t_sq == 0.5 * tc.l2_norm_sq(tc.three_tensor_T(h))
-        assert rep.div_sq == tc.l2_norm_sq(tc.divergence(h))
+        nab = tc.covariant_derivative(h).comp
+        t = tc.TensorField(h.grid, tc._three_tensor(nab))
+        div = tc.TensorField(h.grid, tc._divergence(nab, h.grid.Ginv))
+        assert rep.half_t_sq == 0.5 * tc.l2_norm_sq(t)
+        assert rep.div_sq == tc.l2_norm_sq(div)
         assert rep.lam_norm_sq == lam * norm_sq
         assert rep.curvature_term == tc.l2_inner(tc.curvature_action(h), h)
         assert rep.quad_form == tc.l2_inner(tc.stability_operator(h), h)
